@@ -100,16 +100,10 @@ from repro.traffic.engine import (
     ServingEngine,
 )
 from repro.traffic.fleet import (
-    FLEET_MODES,
     DeviceStats,
     FleetResult,
     FleetSimulator,
     resolve_telemetry,
-)
-from repro.traffic.fluid import (
-    FLUID_ACCURACY_CONTRACT,
-    FluidFleetModel,
-    FluidResult,
 )
 from repro.traffic.governor import (
     GOVERNOR_POLICIES,
@@ -203,14 +197,10 @@ __all__ = [
     "EngineResult",
     "EventTrace",
     "ExperimentResult",
-    "FLEET_MODES",
-    "FLUID_ACCURACY_CONTRACT",
     "FixedService",
     "FleetResult",
     "FleetSimulator",
     "FleetTimeline",
-    "FluidFleetModel",
-    "FluidResult",
     "GOVERNOR_POLICIES",
     "GammaService",
     "GovernorSpec",

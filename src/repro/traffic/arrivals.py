@@ -194,8 +194,8 @@ class DeterministicArrivals(ArrivalProcess):
     interarrival_s: float
 
     def __post_init__(self) -> None:
-        if self.interarrival_s <= 0:
-            raise ValueError("inter-arrival time must be positive")
+        if not 0 < self.interarrival_s < math.inf:
+            raise ValueError("inter-arrival time must be positive and finite")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_count(n)
@@ -217,8 +217,8 @@ class PoissonArrivals(ArrivalProcess):
     rate_hz: float
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         _check_count(n)
@@ -259,10 +259,12 @@ class MMPPArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if len(self.rates_hz) != 2 or len(self.mean_dwell_s) != 2:
             raise ValueError("MMPP needs exactly two states")
-        if any(rate < 0 for rate in self.rates_hz) or max(self.rates_hz) == 0:
-            raise ValueError("state rates must be non-negative, at least one positive")
-        if any(dwell <= 0 for dwell in self.mean_dwell_s):
-            raise ValueError("mean dwell times must be positive")
+        if not all(0 <= rate < math.inf for rate in self.rates_hz):
+            raise ValueError("state rates must be finite and non-negative")
+        if not max(self.rates_hz) > 0:
+            raise ValueError("at least one state rate must be positive")
+        if not all(0 < dwell < math.inf for dwell in self.mean_dwell_s):
+            raise ValueError("mean dwell times must be positive and finite")
 
     @classmethod
     def bursty(
@@ -351,12 +353,14 @@ class DiurnalArrivals(ArrivalProcess):
     peak_at_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_rate_hz <= 0:
-            raise ValueError("base arrival rate must be positive")
+        if not 0 < self.base_rate_hz < math.inf:
+            raise ValueError("base arrival rate must be positive and finite")
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError("amplitude must be in [0, 1)")
-        if self.period_s <= 0:
-            raise ValueError("period must be positive")
+        if not 0 < self.period_s < math.inf:
+            raise ValueError("period must be positive and finite")
+        if not math.isfinite(self.peak_at_s):
+            raise ValueError("peak offset must be finite")
 
     def rate_at(self, time_s: float) -> float:
         """Instantaneous arrival rate at an absolute time."""
@@ -416,9 +420,9 @@ class TraceArrivals(ArrivalProcess):
     def __post_init__(self) -> None:
         if not self.interarrivals_s:
             raise ValueError("trace must contain at least one inter-arrival time")
-        if any(gap < 0 for gap in self.interarrivals_s):
-            raise ValueError("inter-arrival times must be non-negative")
-        if sum(self.interarrivals_s) <= 0:
+        if not all(0 <= gap < math.inf for gap in self.interarrivals_s):
+            raise ValueError("inter-arrival times must be finite and non-negative")
+        if not sum(self.interarrivals_s) > 0:
             raise ValueError("trace must advance time")
 
     @classmethod

@@ -85,9 +85,13 @@ from repro.traffic.arrivals import (
     TraceArrivals,
     seed_stream,
 )
-from repro.traffic.engine import DISPATCH_POLICIES, EXECUTION_MODES, QUEUE_DISCIPLINES
-from repro.traffic.fleet import FLEET_MODES, FleetResult, FleetSimulator, resolve_telemetry
-from repro.traffic.fluid import FluidResult
+from repro.traffic.engine import (
+    DISPATCH_MODES,
+    DISPATCH_POLICIES,
+    EXECUTION_MODES,
+    QUEUE_DISCIPLINES,
+)
+from repro.traffic.fleet import FleetResult, FleetSimulator, resolve_telemetry
 from repro.traffic.governor import GovernorSpec
 from repro.traffic.metrics import (
     MetricEstimate,
@@ -160,10 +164,9 @@ class Scenario:
     #: semantics).  Replication telemetry lands in
     #: :attr:`ExperimentResult.telemetries` and merges across workers.
     telemetry: TelemetrySpec | bool | None = None
-    #: Engine execution strategy for the discrete-event modes:
-    #: ``"batched"`` (default — vectorized fast path where eligible,
-    #: bit-identical to the event loop) or ``"exact"`` (always the scalar
-    #: event loop).  Ignored by ``mode="fluid"``.
+    #: Engine execution strategy: ``"batched"`` (default — vectorized fast
+    #: path where eligible, bit-identical to the event loop) or ``"exact"``
+    #: (always the scalar event loop).
     engine: str = "batched"
     #: Hierarchical fleet shape (:class:`~repro.traffic.topology.TopologySpec`).
     #: When set, ``n_devices`` is taken from the topology (leave it at the
@@ -186,8 +189,6 @@ class Scenario:
                     "leave n_devices unset"
                 )
             object.__setattr__(self, "n_devices", self.topology.total_devices)
-            if self.mode == "fluid":
-                raise ValueError("fluid mode has no topology")
             governor = self.governor
             if isinstance(governor, str):
                 governor = GovernorSpec(policy=governor)
@@ -205,9 +206,9 @@ class Scenario:
                 f"unknown dispatch policy {self.policy!r}; "
                 f"available: {sorted(DISPATCH_POLICIES)}"
             )
-        if self.mode not in FLEET_MODES:
+        if self.mode not in DISPATCH_MODES:
             raise ValueError(
-                f"unknown fleet mode {self.mode!r}; available: {FLEET_MODES}"
+                f"unknown fleet mode {self.mode!r}; available: {DISPATCH_MODES}"
             )
         if self.engine not in EXECUTION_MODES:
             raise ValueError(
@@ -225,19 +226,6 @@ class Scenario:
             object.__setattr__(self, "governor", GovernorSpec(policy=self.governor))
         if isinstance(self.thermal, str):
             object.__setattr__(self, "thermal", ThermalSpec(backend=self.thermal))
-        if self.mode == "fluid":
-            # Fail at construction, not inside a worker process: the fluid
-            # limit is ungoverned and instrument-free by construction.
-            if self.governor.policy != "unlimited":
-                raise ValueError(
-                    "fluid mode is ungoverned; use the unlimited governor"
-                )
-            if self.queue_bound is not None:
-                raise ValueError("fluid mode has no bounded central queue")
-            if self.telemetry not in (None, False):
-                raise ValueError(
-                    "fluid mode carries no streaming instruments"
-                )
         resolve_telemetry(self.telemetry, self.keep_samples)  # fail fast
 
     def with_options(self, **changes) -> "Scenario":
@@ -295,7 +283,7 @@ class Scenario:
         config: SystemConfig,
         request_seed: int | np.random.SeedSequence,
         run_seed: int | np.random.SeedSequence,
-    ) -> FleetResult | FluidResult:
+    ) -> FleetResult:
         """One full replication: generate requests, run the fleet."""
         return self.build_fleet(config).run(self.requests(request_seed), seed=run_seed)
 

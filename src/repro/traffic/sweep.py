@@ -82,12 +82,9 @@ from repro.traffic.topology import TopologySpec
 #: Arrival families the sweep can instantiate from a cell's mean rate.
 ARRIVAL_KINDS = ("poisson", "bursty", "diurnal", "deterministic")
 
-#: Values of the discipline axis: immediate dispatch, a central-queue
-#: discipline from :data:`repro.traffic.engine.QUEUE_DISCIPLINES`, or the
-#: calibrated fluid limit (``"fluid"`` — deterministic mean-field cells,
-#: accuracy per :data:`repro.traffic.fluid.FLUID_ACCURACY_CONTRACT`; the
-#: policy, bound, and governor axes do not apply and collapse).
-SWEEP_DISCIPLINES = ("immediate",) + QUEUE_DISCIPLINES + ("fluid",)
+#: Values of the discipline axis: immediate dispatch or a central-queue
+#: discipline from :data:`repro.traffic.engine.QUEUE_DISCIPLINES`.
+SWEEP_DISCIPLINES = ("immediate",) + QUEUE_DISCIPLINES
 
 #: Replication seeding modes: ``"crn"`` (common random numbers — every
 #: cell at the same arrival rate replays the same request stream per
@@ -161,8 +158,7 @@ class SweepSpec:
     #: axis applies); a :class:`~repro.traffic.topology.TopologySpec` runs
     #: hierarchically/sharded with the device count, budgets, and rack
     #: dispatch taken from the spec — such cells ignore the ``fleet_sizes``
-    #: and ``governors`` axes (first value kept) and are skipped under the
-    #: ``fluid`` discipline, which models one pool.
+    #: and ``governors`` axes (first value kept).
     topologies: tuple[TopologySpec | None, ...] = (None,)
     n_requests: int = 200
     arrival_kind: str = "poisson"
@@ -186,12 +182,11 @@ class SweepSpec:
     #: Streaming instruments each cell runs (see
     #: :func:`repro.traffic.fleet.resolve_telemetry`); cell telemetry lands
     #: on :class:`CellResult` and merges across replicates and workers.
-    #: Fluid cells run instrument-free regardless.
     telemetry: TelemetrySpec | bool | None = None
-    #: Engine execution strategy for the discrete-event cells: ``"batched"``
-    #: (default — vectorized fast path where eligible, bit-identical to the
-    #: event loop, with the engagement outcome reported per cell on
-    #: :attr:`CellResult.fast_path`) or ``"exact"``.  Fluid cells ignore it.
+    #: Engine execution strategy of every cell: ``"batched"`` (default —
+    #: vectorized fast path where eligible, bit-identical to the event
+    #: loop, with the engagement outcome reported per cell on
+    #: :attr:`CellResult.fast_path`) or ``"exact"``.
     engine: str = "batched"
 
     def __post_init__(self) -> None:
@@ -363,7 +358,7 @@ class CellResult:
     #: merges the sketches into one cell-level distribution.
     telemetries: tuple[RunTelemetry | None, ...] = ()
     #: True when replication 0 rode the vectorized fast path (always False
-    #: for fluid cells and under ``engine="exact"``).
+    #: under ``engine="exact"``).
     fast_path: bool = False
     #: Why the batched engine fell back to the exact loop for this cell
     #: (None when the fast path engaged or was never requested).
@@ -430,9 +425,7 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     thermal values collapse to their first occurrence, a sprint-disabled
     sweep keeps only the first governor and the first thermal backend (a
     fleet that never sprints deposits no heat, so no power governor and no
-    reservoir physics can affect it), and fluid cells — where the policy,
-    bound, and governor axes have no meaning — keep one cell per (rate,
-    fleet, thermal) with the unlimited governor.
+    reservoir physics can affect it).
     """
     governors = list(dict.fromkeys(spec.governors))  # ordered unique
     thermals = list(dict.fromkeys(spec.thermals))
@@ -465,8 +458,6 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
             # A topology cell's device count and budgets come from the
             # spec tree; the fleet-size and governor axes have no meaning
             # there (first value kept, like the other collapses).
-            if discipline == "fluid":
-                continue
             if size != spec.fleet_sizes[0]:
                 continue
             if governor != governors[0]:
@@ -477,15 +468,6 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
             if bound != spec.queue_bounds[0]:
                 continue
             bound = None
-        elif discipline == "fluid":
-            if policy != spec.policies[0]:
-                continue
-            if bound != spec.queue_bounds[0]:
-                continue
-            if governor != governors[0]:
-                continue
-            bound = None
-            governor = GovernorSpec()
         elif policy != spec.policies[0]:
             continue
         cells.append(
@@ -578,14 +560,7 @@ def run_cell(
         seed=request_seed,
         deadline_s=spec.deadline_s,
     )
-    fluid = cell.discipline == "fluid"
-    central = not fluid and cell.discipline != "immediate"
-    if fluid:
-        mode = "fluid"
-    elif central:
-        mode = "central_queue"
-    else:
-        mode = "immediate"
+    central = cell.discipline != "immediate"
     fleet = FleetSimulator(
         config,
         n_devices=None if cell.topology is not None else cell.n_devices,
@@ -594,13 +569,13 @@ def run_cell(
         sprint_speedup=spec.sprint_speedup,
         sprint_enabled=spec.sprint_enabled,
         refuse_partial_sprints=spec.refuse_partial_sprints,
-        mode=mode,
+        mode="central_queue" if central else "immediate",
         discipline=cell.discipline if central else "fifo",
         queue_bound=cell.queue_bound if central else None,
         governor=cell.governor,
         thermal=cell.thermal,
         keep_samples=spec.keep_samples,
-        telemetry=False if fluid else spec.telemetry,
+        telemetry=spec.telemetry,
         engine=spec.engine,
     )
     result = fleet.run(requests, seed=run_seed)
@@ -609,10 +584,8 @@ def run_cell(
         cell=cell,
         summary=result.summary(slo_s=spec.slo_s),
         telemetries=telemetries,
-        # Fluid results predate the fast-path ledger; getattr keeps them
-        # reporting the (correct) "never engaged" default.
-        fast_path=getattr(result, "fast_path", False),
-        fast_path_reason=getattr(result, "fast_path_reason", None),
+        fast_path=result.fast_path,
+        fast_path_reason=result.fast_path_reason,
     )
 
 
@@ -673,11 +646,10 @@ class SweepResult:
         governance columns show the cell's power budget and its
         denied-sprint and breaker-trip counts.  The ``path`` column shows
         how each cell executed: ``vector`` (the batched fast path
-        engaged), ``exact`` (the event loop — hover
-        :attr:`CellResult.fast_path_reason` for why), or ``fluid``.  A
-        replicated sweep (``spec.replications > 1``) reports the
-        replication-mean p99 with its CI half-width in place of the
-        single-run p99.
+        engaged) or ``exact`` (the event loop — hover
+        :attr:`CellResult.fast_path_reason` for why).  A replicated sweep
+        (``spec.replications > 1``) reports the replication-mean p99 with
+        its CI half-width in place of the single-run p99.
         """
         replicated = self.spec.replications > 1
         p99_head = f"{'p99':>8} {'±95%':>7}" if replicated else f"{'p99':>8}"
@@ -692,8 +664,6 @@ class SweepResult:
             cell, s = result.cell, result.summary
             if cell.discipline == "immediate":
                 dispatch = cell.policy
-            elif cell.discipline == "fluid":
-                dispatch = "fluid"
             else:
                 bound = "∞" if cell.queue_bound is None else str(cell.queue_bound)
                 dispatch = f"{cell.discipline}[{bound}]"
@@ -704,12 +674,7 @@ class SweepResult:
                 p99_text = f"{p99.mean:7.2f}s {p99.half_width:6.2f}s"
             else:
                 p99_text = f"{s.p99_latency_s:7.2f}s"
-            if cell.discipline == "fluid":
-                path = "fluid"
-            elif result.fast_path:
-                path = "vector"
-            else:
-                path = "exact"
+            path = "vector" if result.fast_path else "exact"
             rows.append(
                 f"{dispatch:>16} {cell.governor.label:>16} {cell.thermal.label:>10} "
                 f"{cell.arrival_rate_hz:7.3f}/s {cell.n_devices:6d} "

@@ -20,6 +20,16 @@ from repro.traffic.request import (
     generate_requests,
 )
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _kwargs_id(value):
+    """Readable test id for a dict of constructor keywords."""
+    if isinstance(value, dict):
+        return ",".join(f"{key}={val}".replace(" ", "") for key, val in value.items())
+    return None
+
+
 ALL_PROCESSES = [
     DeterministicArrivals(2.0),
     PoissonArrivals(0.5),
@@ -106,6 +116,33 @@ class TestArrivalProcesses:
         with pytest.raises(ValueError):
             PoissonArrivals(1.0).times(0)
 
+    @pytest.mark.parametrize(
+        "process_cls, kwargs",
+        [
+            (DeterministicArrivals, dict(interarrival_s=NAN)),
+            (DeterministicArrivals, dict(interarrival_s=INF)),
+            (PoissonArrivals, dict(rate_hz=NAN)),
+            (PoissonArrivals, dict(rate_hz=INF)),
+            (MMPPArrivals, dict(rates_hz=(NAN, 1.0), mean_dwell_s=(1.0, 1.0))),
+            (MMPPArrivals, dict(rates_hz=(INF, 0.0), mean_dwell_s=(1.0, 1.0))),
+            (MMPPArrivals, dict(rates_hz=(1.0, 0.0), mean_dwell_s=(NAN, 1.0))),
+            (MMPPArrivals, dict(rates_hz=(1.0, 0.0), mean_dwell_s=(1.0, INF))),
+            (DiurnalArrivals, dict(base_rate_hz=NAN)),
+            (DiurnalArrivals, dict(base_rate_hz=INF)),
+            (DiurnalArrivals, dict(base_rate_hz=1.0, amplitude=NAN)),
+            (DiurnalArrivals, dict(base_rate_hz=1.0, period_s=NAN)),
+            (DiurnalArrivals, dict(base_rate_hz=1.0, peak_at_s=NAN)),
+            (TraceArrivals, dict(interarrivals_s=(1.0, NAN))),
+            (TraceArrivals, dict(interarrivals_s=(INF,))),
+        ],
+        ids=_kwargs_id,
+    )
+    def test_validation_rejects_non_finite(self, process_cls, kwargs):
+        """A NaN or infinite parameter fails at construction; one NaN arrival
+        would otherwise turn every latency percentile into ``nan``."""
+        with pytest.raises(ValueError):
+            process_cls(**kwargs)
+
 
 class TestServiceModels:
     def test_fixed_service(self):
@@ -158,6 +195,24 @@ class TestServiceModels:
         with pytest.raises(ValueError):
             SuiteService(weights=(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "service_cls, kwargs",
+        [
+            (FixedService, dict(sustained_time_s=NAN)),
+            (FixedService, dict(sustained_time_s=INF)),
+            (GammaService, dict(mean_s=NAN)),
+            (GammaService, dict(mean_s=1.0, cv=NAN)),
+            (LognormalService, dict(median_s=NAN)),
+            (LognormalService, dict(median_s=1.0, sigma=NAN)),
+            (SuiteService, dict(weights=(NAN, 1.0))),
+            (SuiteService, dict(frequency_hz=NAN)),
+        ],
+        ids=_kwargs_id,
+    )
+    def test_validation_rejects_non_finite(self, service_cls, kwargs):
+        with pytest.raises(ValueError):
+            service_cls(**kwargs)
+
     def test_suite_service_wrong_weight_count_fails_at_construction(self):
         """A weights tuple that doesn't match the suite table fails fast,
         not deep inside a sweep worker on the first sample."""
@@ -194,6 +249,21 @@ class TestGenerateRequests:
             Request(index=0, arrival_s=0.0, sustained_time_s=0.0)
         with pytest.raises(ValueError):
             generate_requests(PoissonArrivals(1.0), FixedService(1.0), 0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(arrival_s=NAN, sustained_time_s=1.0),
+            dict(arrival_s=INF, sustained_time_s=1.0),
+            dict(arrival_s=0.0, sustained_time_s=NAN),
+            dict(arrival_s=0.0, sustained_time_s=INF),
+            dict(arrival_s=0.0, sustained_time_s=1.0, deadline_s=NAN),
+        ],
+        ids=_kwargs_id,
+    )
+    def test_request_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            Request(index=0, **kwargs)
 
 
 ALL_SERVICES = [
@@ -287,3 +357,5 @@ class TestBlockDeterminism:
     def test_request_blocks_validation(self):
         with pytest.raises(ValueError):
             list(generate_request_blocks(PoissonArrivals(1.0), FixedService(1.0), 0))
+        with pytest.raises(ValueError):
+            generate_request_blocks(PoissonArrivals(1.0), FixedService(1.0), 5, deadline_s=NAN)

@@ -418,8 +418,9 @@ class TestValidation:
             Scenario(arrivals=arrivals, service=service, n_requests=5, n_devices=0)
         with pytest.raises(ValueError):
             Scenario(arrivals=arrivals, service=service, n_requests=5, policy="nope")
-        with pytest.raises(ValueError):
-            Scenario(arrivals=arrivals, service=service, n_requests=5, mode="nope")
+        for mode in ("nope", "fluid"):
+            with pytest.raises(ValueError):
+                Scenario(arrivals=arrivals, service=service, n_requests=5, mode=mode)
         with pytest.raises(ValueError):
             Scenario(
                 arrivals=arrivals, service=service, n_requests=5, discipline="nope"

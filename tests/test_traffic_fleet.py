@@ -235,12 +235,16 @@ class TestFleetSimulator:
             FleetSimulator(config, 0)
         with pytest.raises(ValueError):
             FleetSimulator(config, 1, policy="nope")
-        with pytest.raises(ValueError):
-            FleetSimulator(config, 1, mode="nope")
+        for mode in ("nope", "fluid"):
+            with pytest.raises(ValueError):
+                FleetSimulator(config, 1, mode=mode)
         with pytest.raises(ValueError):
             FleetSimulator(config, 1, discipline="nope")
         with pytest.raises(ValueError):
             FleetSimulator(config, 1, queue_bound=-1)
+        request = Request(index=0, arrival_s=0.0, sustained_time_s=1.0)
+        with pytest.raises(ValueError, match="unique"):
+            FleetSimulator(config, 2).run([request, request])
 
     def test_empty_request_stream_is_a_valid_run(self, config):
         """Sparse arrival processes can materialise zero requests; a sweep

@@ -241,8 +241,9 @@ class TestValidation:
         SweepSpec(arrival_kind="poisson", burst_factor=1.0)
         with pytest.raises(ValueError):
             SweepSpec(disciplines=())
-        with pytest.raises(ValueError):
-            SweepSpec(disciplines=("lifo",))
+        for discipline in ("lifo", "fluid"):
+            with pytest.raises(ValueError):
+                SweepSpec(disciplines=(discipline,))
         with pytest.raises(ValueError):
             SweepSpec(queue_bounds=(-1,))
         with pytest.raises(ValueError):
