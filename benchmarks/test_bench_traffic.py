@@ -60,6 +60,13 @@ SHARD_REQUESTS = 100_000
 #: Paired rounds of the telemetry-overhead gate (baseline + every mode each).
 TELEMETRY_ROUNDS = 5
 
+#: Fleet widths of the batched-vs-exact gate: one device and a narrow fleet
+#: (the event core for every policy) and a fleet wide enough for the
+#: lockstep core to take round_robin/random.
+NEVER_SLOWER_DEVICES = (1, 4, 64)
+NEVER_SLOWER_REQUESTS = 2_000
+NEVER_SLOWER_ROUNDS = 3
+
 
 def test_bench_fleet_throughput(benchmark, bench_scale):
     """Requests simulated per wall-second on one 16-device fleet."""
@@ -349,6 +356,75 @@ def test_bench_engine_throughput_curve(benchmark, bench_scale):
             f"batched engine speedup degraded to {speedup:.1f}x "
             "(expected >= 10x at full scale)"
         )
+
+
+def test_bench_batched_never_slower_than_exact(benchmark, bench_scale):
+    """``engine="batched"`` is never slower than ``engine="exact"``.
+
+    Every named immediate policy runs on 1, 4 and 64 ungoverned devices,
+    so both batched cores are timed: the event core on the narrow fleets,
+    and the lockstep core for round_robin/random on the wide one.  Each
+    configuration runs in paired rounds in rotating order (exact first in
+    even rounds, batched first in odd ones), with a ``gc.collect()``
+    before each run and outside the timer, and the gate holds the median
+    per-round exact/batched time ratio at >= 1.0.  A load phase on the
+    host then slows both sides of a ratio instead of one.  The results
+    are checked bit-identical before any timing is trusted.
+    """
+    config = SystemConfig.paper_default()
+    n = bench_scale(NEVER_SLOWER_REQUESTS, floor=2_000)
+    policies = tuple(DISPATCH_POLICIES)
+
+    def measure_config(key, n_devices, policy, requests) -> float:
+        fleets = {
+            engine: FleetSimulator(config, n_devices, policy=policy, engine=engine)
+            for engine in ("exact", "batched")
+        }
+        elapsed: dict[str, list[float]] = {"exact": [], "batched": []}
+        results = {}
+        for round_index in range(NEVER_SLOWER_ROUNDS):
+            order = ("exact", "batched") if round_index % 2 == 0 else ("batched", "exact")
+            for engine in order:
+                gc.collect()
+                started = time.perf_counter()
+                results[engine] = fleets[engine].run(requests, seed=3)
+                elapsed[engine].append(time.perf_counter() - started)
+        assert results["batched"].fast_path, results["batched"].fast_path_reason
+        assert results["exact"].served == results["batched"].served
+        benchmark.extra_info[f"exact_rps_{key}"] = n / statistics.median(elapsed["exact"])
+        benchmark.extra_info[f"batched_rps_{key}"] = n / statistics.median(elapsed["batched"])
+        return statistics.median(
+            e / b for e, b in zip(elapsed["exact"], elapsed["batched"])
+        )
+
+    def measure() -> dict[str, float]:
+        # Park the suite's long-lived objects outside the collector so the
+        # per-run collections only walk what the runs allocated.
+        gc.collect()
+        gc.freeze()
+        try:
+            ratios = {}
+            for n_devices in NEVER_SLOWER_DEVICES:
+                requests = generate_requests(
+                    PoissonArrivals(0.2 * n_devices), GammaService(5.0, cv=0.5), n, seed=11
+                )
+                for policy in policies:
+                    key = f"{policy}_{n_devices}dev"
+                    ratios[key] = measure_config(key, n_devices, policy, requests)
+            return ratios
+        finally:
+            gc.unfreeze()
+
+    ratios = benchmark.pedantic(measure, rounds=1, iterations=1)
+    benchmark.extra_info["requests"] = n
+    benchmark.extra_info.update(
+        {f"speedup_vs_exact_{key}": ratio for key, ratio in ratios.items()}
+    )
+    slower = {key: round(ratio, 2) for key, ratio in ratios.items() if ratio < 1.0}
+    assert not slower, (
+        "batched must never be slower than exact; median per-round "
+        f"exact/batched time ratios over {NEVER_SLOWER_ROUNDS} rounds: {slower}"
+    )
 
 
 GOVERNED_CURVE_SCALES = (100_000, 1_000_000)

@@ -4,11 +4,12 @@ The serving engine answers the same question by two execution strategies,
 and this example runs them side by side:
 
 1. **Bit-identity**: the ``batched`` execution mode is not an
-   approximation — on its supported envelope (immediate round-robin or
-   random dispatch, ungoverned, linear thermal, no observers) it replays
-   the exact engine's float operations in numpy blocks, and every latency
-   matches bit for bit.
-2. **Honest fallback**: outside that envelope the vector core does not
+   approximation — on its supported envelope (every named dispatch
+   policy, central FIFO queues, greedy/cooperative governors, linear
+   thermal) it replays the exact engine's float operations, on the
+   batch-replay event core or, for wide round-robin/random fleets, in
+   lockstep numpy blocks, and every latency matches bit for bit.
+2. **Honest fallback**: outside that envelope the batched cores do not
    guess — the engine reports *why* (``fast_path_reason``) and takes the
    exact event loop, so ``engine="batched"`` is always safe to request.
 3. **Throughput curve**: requests/second of exact vs batched as the
@@ -70,7 +71,9 @@ def honest_fallback(config: SystemConfig) -> None:
     print("-- honest fallback: why the vector core is (not) engaged --")
     cases = {
         "round_robin, ungoverned, linear": dict(policy="round_robin"),
-        "least_loaded dispatch": dict(policy="least_loaded"),
+        "EDF central queue": dict(
+            policy="round_robin", mode="central_queue", discipline="edf"
+        ),
         "central queue": dict(policy="round_robin", mode="central_queue"),
         "greedy power governor": dict(
             policy="round_robin",

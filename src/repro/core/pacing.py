@@ -32,6 +32,7 @@ mispredicts tail latency against the physics-backed backends.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +133,8 @@ class SprintPacer:
     _last_arrival_s: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
-        if self.sprint_speedup < 1.0:
-            raise ValueError("sprint speedup must be at least 1x")
+        if not 1.0 <= self.sprint_speedup < math.inf:
+            raise ValueError("sprint speedup must be at least 1x and finite")
         if isinstance(self.thermal, str):
             self.thermal = ThermalSpec(backend=self.thermal)
         if isinstance(self.thermal, ThermalSpec):

@@ -284,12 +284,12 @@ class RCCooling(ThermalBackend):
         time_constant_s: float,
         limits: ThermalLimits,
     ) -> None:
-        if capacity_j < 0:
-            raise ValueError("reservoir capacity must be non-negative")
-        if drain_power_w <= 0:
-            raise ValueError("drain power must be positive")
-        if time_constant_s <= 0:
-            raise ValueError("time constant must be positive")
+        if not 0 <= capacity_j < math.inf:
+            raise ValueError("reservoir capacity must be non-negative and finite")
+        if not 0 < drain_power_w < math.inf:
+            raise ValueError("drain power must be positive and finite")
+        if not 0 < time_constant_s < math.inf:
+            raise ValueError("time constant must be positive and finite")
         if time_constant_s < capacity_j / drain_power_w:
             raise ValueError(
                 "rc time constant must be at least capacity / drain power "
@@ -497,8 +497,8 @@ class ThermalSpec:
                 raise ValueError(
                     f"{self.backend} backend does not take time_constant_s"
                 )
-            if self.time_constant_s <= 0:
-                raise ValueError("time constant must be positive (or None)")
+            if not 0 < self.time_constant_s < math.inf:
+                raise ValueError("time constant must be positive and finite (or None)")
 
     # -- constructors ----------------------------------------------------------
 

@@ -105,10 +105,12 @@ DispatchFn = Callable[[Sequence[SprintDevice], Request, np.random.Generator, int
 DISPATCH_MODES = ("immediate", "central_queue")
 
 #: How the engine advances time: one heap event at a time (the reference),
-#: or the batched cores where the configuration permits — the lockstep
-#: numpy vector core for ungoverned immediate runs, the batch-replay event
-#: core for governed/central-queue runs — with an automatic, bit-identical
-#: fallback to exact where neither applies (see :mod:`repro.traffic.fastpath`).
+#: or the batched cores where the configuration permits — the batch-replay
+#: event core for every named policy, governed or not, immediate or
+#: central FIFO, and the lockstep numpy vector core for ungoverned
+#: immediate round_robin/random runs on wide fleets — with an automatic,
+#: bit-identical fallback to exact where neither applies (see
+#: :mod:`repro.traffic.fastpath`).
 EXECUTION_MODES = ("exact", "batched")
 
 #: Orderings of the shared queue in central_queue mode.
@@ -228,17 +230,42 @@ class LeastLoadedIndex:
     Probe times must be non-decreasing (arrivals are processed in time
     order), so devices migrate monotonically from the busy heap to the idle
     heap and each serve costs amortised O(log n).
+
+    The keys are read per position through ``busy_until_of(pos)`` and
+    ``served_of(pos)``: by default a device's own ``busy_until_s`` and
+    ``requests_served``.  The batched event core
+    (:mod:`repro.traffic.fastpath`) passes readers of its plain-float
+    columns instead, so both engines dispatch through this one index.
+    Served counts are lifetime counts either way, serving history included.
     """
 
-    def __init__(self, devices: Sequence[SprintDevice]) -> None:
-        self._devices = devices
-        self._version = [0] * len(devices)
+    def __init__(
+        self,
+        devices: Sequence[SprintDevice],
+        busy_until_of: Callable[[int], float] | None = None,
+        served_of: Callable[[int], int] | None = None,
+    ) -> None:
+        if busy_until_of is None:
+
+            def busy_until_of(pos: int) -> float:
+                return devices[pos].busy_until_s
+
+        if served_of is None:
+
+            def served_of(pos: int) -> int:
+                return devices[pos].requests_served
+
+        self._busy_until_of = busy_until_of
+        self._served_of = served_of
+        n = len(devices)
+        self._n = n
+        self._version = [0] * n
         self._idle: list[tuple[int, int, int]] = []
         # Seed from each device's *actual* state (it may carry serving
         # history); devices already free migrate to the idle heap on the
         # first probe, so a fresh fleet behaves as all-idle.
         self._busy: list[tuple[float, int, int, int]] = [
-            (d.busy_until_s, d.requests_served, i, 0) for i, d in enumerate(devices)
+            (busy_until_of(i), served_of(i), i, 0) for i in range(n)
         ]
         heapq.heapify(self._busy)
 
@@ -280,10 +307,14 @@ class LeastLoadedIndex:
     def update(self, pos: int) -> None:
         """Re-key device ``pos`` after it absorbed a request."""
         self._version[pos] += 1
-        device = self._devices[pos]
         heapq.heappush(
             self._busy,
-            (device.busy_until_s, device.requests_served, pos, self._version[pos]),
+            (
+                self._busy_until_of(pos),
+                self._served_of(pos),
+                pos,
+                self._version[pos],
+            ),
         )
         # Lazy deletion leaves one stale tuple behind per re-key.  Each
         # device has exactly one live entry, so anything beyond n entries is
@@ -293,29 +324,8 @@ class LeastLoadedIndex:
         # cost stays O(1) per update and heap size stays bounded at
         # max(2n, floor) over any horizon.
         total = len(self._idle) + len(self._busy)
-        if total > max(2 * len(self._devices), self._COMPACT_MIN):
+        if total > max(2 * self._n, self._COMPACT_MIN):
             self._compact()
-
-    def push_many(self, positions: Sequence[int]) -> None:
-        """Re-key a batch of devices after they absorbed requests.
-
-        Pick-equivalent to calling :meth:`update` per position: each
-        position's live entry must reflect its device's current state, and
-        how the stale entries die is unobservable through :meth:`pick`.
-        Small batches take the incremental per-position path; once the
-        batch touches a quarter of the fleet, invalidating every touched
-        entry and rebuilding both heaps in one O(n) pass is cheaper than
-        the ~batch·log(n) pushes (a rebuild never changes the minimum live
-        entry, so picks are unaffected).
-        """
-        unique = set(positions)
-        if 4 * len(unique) < len(self._devices):
-            for pos in unique:
-                self.update(pos)
-            return
-        for pos in unique:
-            self._version[pos] += 1
-        self._compact()
 
     def _compact(self) -> None:
         """Rebuild both heaps with one live entry per device.
@@ -332,14 +342,14 @@ class LeastLoadedIndex:
                 live_idle.add(pos)
         idle: list[tuple[int, int, int]] = []
         busy: list[tuple[float, int, int, int]] = []
-        for pos, device in enumerate(self._devices):
+        busy_until_of = self._busy_until_of
+        served_of = self._served_of
+        for pos in range(self._n):
             version = self._version[pos]
             if pos in live_idle:
-                idle.append((device.requests_served, pos, version))
+                idle.append((served_of(pos), pos, version))
             else:
-                busy.append(
-                    (device.busy_until_s, device.requests_served, pos, version)
-                )
+                busy.append((busy_until_of(pos), served_of(pos), pos, version))
         heapq.heapify(idle)
         heapq.heapify(busy)
         self._idle = idle
@@ -439,14 +449,16 @@ class ServingEngine:
     execution:
         ``"exact"`` (default) resolves every event through the heap loop.
         ``"batched"`` runs the fast cores where the configuration permits:
-        the numpy lockstep core for ungoverned immediate round_robin/random
-        dispatch, and the batch-replay event core for central-queue FIFO
-        and governed runs whose policy declares an exact batched replay
-        (greedy, cooperative_threshold, cascades of them) — all on linear
-        thermal backends, with streaming observers fed from columnar
-        buffers (see :mod:`repro.traffic.fastpath`).  Anything else (EDF,
-        token_bucket, state-dependent policies, physics backends) falls
-        back to the exact loop, so results are bit-identical either way.
+        every named dispatch policy, immediate or central-queue FIFO,
+        ungoverned or under a governor that declares an exact batched
+        replay (greedy, cooperative_threshold, cascades of them), all on
+        linear thermal backends, with streaming observers fed from
+        columnar buffers.  The batch-replay event core serves these runs,
+        except ungoverned immediate round_robin/random runs on wide fleets,
+        which take the numpy lockstep core (see
+        :mod:`repro.traffic.fastpath`).  Anything else (EDF, token_bucket,
+        custom dispatch callables, physics backends) falls back to the
+        exact loop, so results are bit-identical either way.
         :attr:`last_run_fast_path` reports which path the latest run took,
         and :attr:`fast_path_reason` why the fast cores are (not) engaged.
     """

@@ -73,6 +73,7 @@ plan collapses to a single replication:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,6 +202,12 @@ class Scenario:
             raise ValueError("shard worker count must be at least 1")
         if self.n_devices < 1:
             raise ValueError("a scenario needs at least one device")
+        if not 1.0 <= self.sprint_speedup < math.inf:
+            raise ValueError("sprint speedup must be at least 1x and finite")
+        if self.slo_s is not None and not self.slo_s > 0:
+            raise ValueError("SLO must be positive (or None)")
+        if self.deadline_s is not None and not self.deadline_s > 0:
+            raise ValueError("deadline must be positive (or None)")
         if self.policy not in DISPATCH_POLICIES:
             raise ValueError(
                 f"unknown dispatch policy {self.policy!r}; "

@@ -3,44 +3,50 @@
 The exact engine (:mod:`repro.traffic.engine`) resolves one heap event per
 request in pure Python.  This module is the ``engine="batched"`` execution
 strategy: the same runs, bit-identical, at a fraction of the interpreter
-work.  Two cores divide the envelope:
+work.  Two cores divide the envelope, chosen by cost:
 
-* **The lockstep vector core** (ungoverned immediate dispatch) — when the
-  device assignment sequence is known up front (``round_robin`` is
-  ``(cursor + i) mod n``; ``random`` is one block draw of ``rng.integers``,
-  bit-identical to the scalar per-request draws), every device's request
-  chain is independent, so all devices advance in lockstep *rounds*:
-  round ``k`` executes the ``k``-th request of every device that has one,
-  as ~30 vectorized ops over the active-device axis.  The linear-reservoir
-  sprint decision (drain, headroom, full / partial / sustained, deposit)
-  is elementwise ``max``/``where`` arithmetic whose float operations are
-  exactly the scalar pacer's.
-* **The batch-replay event core** (governed sprinting, central-queue FIFO)
-  — event *interleaving* matters there, so the core keeps the exact
-  loop's event semantics (same event kinds, same tie-break order, same
-  float paths) but strips its interpreter overhead: arrivals merge from
-  the sorted column stream instead of living in the heap, the FIFO queue
-  is a deque of tokens, device execution is the linear-reservoir
-  arithmetic inlined on plain floats, and request/outcome objects are
-  only constructed when a caller actually keeps them.  Grant decisions go
-  through the *real* governor object at the exact event timestamps, so
-  ``GovernorStats`` ledgers replay exactly — for ``greedy``,
-  ``cooperative_threshold``, and any cascade of them.
+* **The batch-replay event core** (every run in the envelope, unless the
+  lockstep core below is cheaper) keeps the exact loop's event semantics
+  (same event kinds, same tie-break order, same float paths) but strips
+  its interpreter overhead: arrivals merge from the sorted column stream
+  instead of living in the heap, the FIFO queue is a deque of tokens,
+  device execution is the linear-reservoir arithmetic inlined on plain
+  floats, and request/outcome objects are only constructed when a caller
+  actually keeps them.  Immediate dispatch asks the same questions the
+  exact policies ask, of the core's plain-float mirrors: ``least_loaded``
+  through the exact loop's own
+  :class:`~repro.traffic.engine.LeastLoadedIndex`, ``thermal_aware``
+  through its slack window and budget key inlined over the linear
+  reservoir's projection.  Grant decisions go through the *real*
+  governor object at the exact event timestamps, so ``GovernorStats``
+  ledgers replay exactly — for ``greedy``, ``cooperative_threshold``, and
+  any cascade of them.
+* **The lockstep vector core** (ungoverned immediate ``round_robin`` or
+  ``random`` dispatch on fleets of at least :data:`LOCKSTEP_MIN_DEVICES`
+  devices) — when the device assignment sequence is known up front
+  (``round_robin`` is ``(cursor + i) mod n``; ``random`` is one block draw
+  of ``rng.integers``, bit-identical to the scalar per-request draws),
+  every device's request chain is independent, so all devices advance in
+  lockstep *rounds*: round ``k`` executes the ``k``-th request of every
+  device that has one, as ~30 vectorized ops over the active-device axis.
+  The linear-reservoir sprint decision (drain, headroom, full / partial /
+  sustained, deposit) is elementwise ``max``/``where`` arithmetic whose
+  float operations are exactly the scalar pacer's.  A round costs the
+  same whatever its width, so this core only wins on wide fleets.
 
-Streaming observers no longer disqualify the fast path: the telemetry
+Streaming observers do not disqualify the fast path: the telemetry
 sketch is fed from per-chunk columnar buffers
 (:meth:`~repro.traffic.telemetry.TrafficTelemetry.observe_batch`), the
 timeline probe from per-window batch counters, and the (ring-bounded)
 event trace from a scalar replay in processing order — all bit-identical
 to the per-event callbacks.
 
-Configurations still outside the envelope — EDF queue re-sorting,
-token-bucket grant refill, state-dependent policies like
-``least_loaded``, physics thermal backends — keep the exact event loop:
-``batched`` execution falls back honestly rather than approximate.  The
-:func:`unsupported_reason` predicate is the single source of truth for
-that envelope, and ``ServingEngine.last_run_fast_path`` reports which
-path a run actually took.
+Configurations outside the envelope — EDF queue re-sorting, token-bucket
+grant refill, custom dispatch callables, physics thermal backends — keep
+the exact event loop: ``batched`` execution falls back honestly rather
+than approximate.  The :func:`unsupported_reason` predicate is the single
+source of truth for that envelope, and ``ServingEngine.last_run_fast_path``
+reports which path a run actually took.
 
 Requests are consumed as ``(times, demands, requests, deadline_at,
 start_index)`` column blocks, so the streaming entry point
@@ -58,13 +64,13 @@ configuration on the exact loop:
 ...     SprintDevice(SystemConfig.paper_default(), device_id=i) for i in range(2)
 ... ]
 >>> unsupported_reason(
-...     ServingEngine(devices, DISPATCH_POLICIES["round_robin"], "round_robin")
+...     ServingEngine(devices, DISPATCH_POLICIES["least_loaded"], "least_loaded")
 ... ) is None
 True
->>> unsupported_reason(
-...     ServingEngine(devices, DISPATCH_POLICIES["least_loaded"], "least_loaded")
-... )
-"policy 'least_loaded' depends on per-request fleet state"
+>>> def first_device(devices, request, rng, cursor):
+...     return 0
+>>> unsupported_reason(ServingEngine(devices, first_device, "first_device"))
+'custom dispatch callable must be consulted per request'
 >>> unsupported_reason(
 ...     ServingEngine(
 ...         devices,
@@ -94,7 +100,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.traffic.engine import EngineResult, ServingEngine
 
 #: Immediate-mode policies whose assignment sequence is precomputable.
-BATCHABLE_POLICIES = ("round_robin", "random")
+LOCKSTEP_POLICIES = ("round_robin", "random")
+
+#: Fleet width from which ungoverned immediate ``LOCKSTEP_POLICIES`` runs
+#: take the lockstep core instead of the event core.  A lockstep round costs
+#: ~30 numpy calls whatever its width, so it only pays once rounds are wide.
+#: Measured with round_robin, 20k Gamma(5 s, cv 0.5) requests, on a 2-core
+#: x86 host: on one device the event core served 136k req/s against
+#: lockstep's 15k; with flat memory (``keep_samples=False``) the event core
+#: took 0.92x lockstep's time at 32 devices, 1.12x at 48 and 1.34x at 64,
+#: while with kept samples it stayed 0.80-0.84x up to 64 devices.  48 is
+#: the flat-memory crossover, where the wide fleets lockstep exists for run.
+LOCKSTEP_MIN_DEVICES = 48
 
 #: One chunk's stream element: (times, demands, requests, deadline_at,
 #: start_index).  ``requests`` is None unless outcome objects are needed
@@ -115,12 +132,14 @@ def unsupported_reason(engine: "ServingEngine") -> str | None:
 
     Returns ``None`` when the fast path applies.  The conditions mirror the
     module docstring: anything whose exact replay cannot be proven —
-    deadline-ordered queue re-sorting, state-dependent dispatch,
+    deadline-ordered queue re-sorting, custom dispatch callables,
     token-bucket refill arithmetic, open-form thermal physics — forces the
-    exact heap loop.  Streaming observers and power governors are *inside*
-    the envelope now: observers are fed from columnar buffers, and grant
-    policies that declare ``supports_batched_replay`` are replayed through
-    the real governor object.
+    exact heap loop.  Every named dispatch policy, streaming observers and
+    power governors are *inside* the envelope: the event core replays the
+    state-dependent policies on its own state mirrors, observers are fed
+    from columnar buffers, and grant policies that declare
+    ``supports_batched_replay`` are replayed through the real governor
+    object.
     """
     from repro.traffic.engine import DISPATCH_POLICIES
 
@@ -134,13 +153,8 @@ def unsupported_reason(engine: "ServingEngine") -> str | None:
                 f"queue discipline {engine.discipline!r} re-sorts the "
                 "shared queue on deadlines"
             )
-    else:
-        if engine.policy_name not in BATCHABLE_POLICIES:
-            return (
-                f"policy {engine.policy_name!r} depends on per-request fleet state"
-            )
-        if engine.dispatch is not DISPATCH_POLICIES[engine.policy_name]:
-            return "custom dispatch callable must be consulted per request"
+    elif engine.dispatch is not DISPATCH_POLICIES.get(engine.policy_name):
+        return "custom dispatch callable must be consulted per request"
     governor = engine.governor
     if governor is not None and not governor.is_unlimited:
         if not getattr(governor, "supports_batched_replay", False):
@@ -480,7 +494,7 @@ def _run_event_core(
     stream: Iterable[StreamChunk],
     rng: np.random.Generator,
 ) -> "EngineResult":
-    """The batch-replay event core: governed sprinting and central-queue FIFO.
+    """The batch-replay event core: every batched run lockstep does not take.
 
     The exact loop's semantics with its interpreter overhead stripped.
     Three structural changes, each order-preserving by construction:
@@ -524,7 +538,11 @@ def _run_event_core(
     refuse = state.refuse.tolist()
     device_ids = state.device_ids.tolist()
     labels = [d.label for d in devices]
-    served_n = [0] * n
+    # Lifetime served counts (serving history included), as the exact
+    # loop's tie-breaks read ``requests_served``; only this run's share
+    # is synced back.
+    served_n = [d.requests_served for d in devices]
+    served_before = np.asarray(served_n, dtype=np.int64)
     sprints_n = [0] * n
     busy_sec = [0.0] * n
     full_tot = [0.0] * n
@@ -542,7 +560,14 @@ def _run_event_core(
     governor = engine.governor
     governed = governor is not None and not governor.is_unlimited
     central = engine.mode == "central_queue"
-    random_policy = engine.policy_name == "random"
+    policy = engine.policy_name
+    random_policy = policy == "random"
+    thermal_aware = policy == "thermal_aware"
+    index = None
+    if not central and policy == "least_loaded":
+        from repro.traffic.engine import LeastLoadedIndex
+
+        index = LeastLoadedIndex(devices, clock.__getitem__, served_n.__getitem__)
     queue_bound = engine.queue_bound
     inf = float("inf")
 
@@ -872,6 +897,43 @@ def _run_event_core(
                 )
         return end
 
+    def pick_thermal(
+        t: float,
+        s_dem: float,
+        clock=clock,
+        stored=stored,
+        drain_w=drain_w,
+        capacity=capacity,
+        positions=range(n),
+    ) -> int:
+        """``thermal_aware``'s pick on the plain-float mirrors.
+
+        The same slack window, ``(-available fraction, start, position)``
+        key and float operations as ``engine._thermal_aware`` over
+        ``SprintDevice.start_time_for`` and
+        ``SprintPacer.available_fraction_at`` on a LinearReservoir.
+        """
+        starts = [c if c > t else t for c in clock]
+        limit = min(starts) + 0.1 * s_dem
+        best = -1
+        best_neg = best_start = 0.0
+        for i in positions:
+            st = starts[i]
+            if st > limit:
+                continue
+            cap = capacity[i]
+            if cap == 0:
+                neg = -0.0
+            else:
+                idle = st - clock[i]
+                x = stored[i] - drain_w[i] * (idle if idle > 0.0 else 0.0)
+                neg = -(1.0 - (x if x > 0.0 else 0.0) / cap)
+            if best < 0 or neg < best_neg or (neg == best_neg and st < best_start):
+                best = i
+                best_neg = neg
+                best_start = st
+        return best
+
     def emit_rejected(ent: tuple, now: float) -> None:
         nonlocal rejected_count
         rejected_count += 1
@@ -993,7 +1055,8 @@ def _run_event_core(
         base = 0 if start_index is None else start_index
         for i in range(count):
             t = t_l[i]
-            pump(t)
+            if events:
+                pump(t)
             last_s = t
             robj = requests[i] if requests is not None else None
             ridx = robj.index if robj is not None else base + i
@@ -1025,8 +1088,15 @@ def _run_event_core(
                         probe.on_queue_depth(t, len(waiting))
                     if dl_at != inf:
                         heappush(events, (dl_at, 4, next(ctr), token))
-            else:  # governed immediate dispatch
-                pos = int(rng.integers(n)) if random_policy else cursor % n
+            else:  # immediate dispatch
+                if index is not None:
+                    pos = index.pick(t)
+                elif thermal_aware:
+                    pos = pick_thermal(t, d_l[i])
+                elif random_policy:
+                    pos = int(rng.integers(n))
+                else:
+                    pos = cursor % n
                 cursor += 1
                 if trace is not None:
                     trace.add(
@@ -1039,6 +1109,8 @@ def _run_event_core(
                 c = clock[pos]
                 start = t if t > c else c
                 serve_on(pos, t, d_l[i], dl_at, start, robj, ridx, t)
+                if index is not None:
+                    index.update(pos)
     pump(inf)
 
     if telemetry is not None:
@@ -1056,7 +1128,7 @@ def _run_event_core(
         governor._time_at_cap = g_time_at_cap
     state.clock = np.asarray(clock)
     state.stored = np.asarray(stored)
-    state.served = np.asarray(served_n, dtype=np.int64)
+    state.served = np.asarray(served_n, dtype=np.int64) - served_before
     state.sprints = np.asarray(sprints_n, dtype=np.int64)
     state.busy_seconds = np.asarray(busy_sec)
     state.fullness_total = np.asarray(full_tot)
@@ -1090,12 +1162,17 @@ def run_batched(
     ``deadline_at`` when deadlines matter (central queue, telemetry).  The
     caller guarantees the concatenated times are non-decreasing — arrival
     processes emit sorted streams and ``ServingEngine.run`` sorts — which
-    is asserted cheaply per chunk.  Dispatches to the lockstep vector core
-    for ungoverned immediate runs, and to the batch-replay event core for
-    governed or central-queue runs.
+    is asserted cheaply per chunk.  Ungoverned immediate
+    ``round_robin``/``random`` runs on fleets of at least
+    :data:`LOCKSTEP_MIN_DEVICES` devices take the lockstep vector core;
+    every other run takes the batch-replay event core.
     """
     governor = engine.governor
-    governed = governor is not None and not governor.is_unlimited
-    if engine.mode == "central_queue" or governed:
-        return _run_event_core(engine, stream, rng)
-    return _run_immediate_core(engine, stream, rng)
+    if (
+        engine.mode == "immediate"
+        and (governor is None or governor.is_unlimited)
+        and engine.policy_name in LOCKSTEP_POLICIES
+        and len(engine.devices) >= LOCKSTEP_MIN_DEVICES
+    ):
+        return _run_immediate_core(engine, stream, rng)
+    return _run_event_core(engine, stream, rng)

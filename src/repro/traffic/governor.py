@@ -152,12 +152,12 @@ class SprintGovernor:
         trip_headroom_w: float | None = None,
         penalty_s: float = 0.0,
     ) -> None:
-        if excess_power_w < 0:
-            raise ValueError("per-sprint excess power must be non-negative")
-        if trip_headroom_w is not None and trip_headroom_w <= 0:
+        if not 0 <= excess_power_w < math.inf:
+            raise ValueError("per-sprint excess power must be non-negative and finite")
+        if trip_headroom_w is not None and not trip_headroom_w > 0:
             raise ValueError("breaker trip headroom must be positive (or None)")
-        if penalty_s < 0:
-            raise ValueError("breaker penalty must be non-negative")
+        if not 0 <= penalty_s < math.inf:
+            raise ValueError("breaker penalty must be non-negative and finite")
         self.excess_power_w = excess_power_w
         self.trip_headroom_w = trip_headroom_w
         self.penalty_s = penalty_s
@@ -350,7 +350,7 @@ class GreedyGovernor(SprintGovernor):
         trip_headroom_w: float | None = None,
         penalty_s: float = 0.0,
     ) -> None:
-        if max_concurrent_sprints < 1:
+        if not max_concurrent_sprints >= 1:
             raise ValueError("greedy needs at least one concurrent sprint slot")
         super().__init__(excess_power_w, trip_headroom_w, penalty_s)
         self.max_concurrent_sprints = max_concurrent_sprints
@@ -427,10 +427,10 @@ class TokenBucketGovernor(SprintGovernor):
         trip_headroom_w: float | None = None,
         penalty_s: float = 0.0,
     ) -> None:
-        if sprint_rate_hz <= 0:
-            raise ValueError("sustained sprint rate must be positive")
-        if burst_sprints < 1:
-            raise ValueError("burst capacity must cover at least one sprint")
+        if not 0 < sprint_rate_hz < math.inf:
+            raise ValueError("sustained sprint rate must be positive and finite")
+        if not 1 <= burst_sprints < math.inf:
+            raise ValueError("burst capacity must cover at least one sprint and be finite")
         self.sprint_rate_hz = sprint_rate_hz
         self.burst_sprints = burst_sprints
         super().__init__(excess_power_w, trip_headroom_w, penalty_s)
@@ -547,9 +547,9 @@ class GovernorSpec:
                 f"unknown governor policy {self.policy!r}; "
                 f"available: {GOVERNOR_POLICIES}"
             )
-        if self.penalty_s < 0:
-            raise ValueError("breaker penalty must be non-negative")
-        if self.trip_headroom_w is not None and self.trip_headroom_w <= 0:
+        if not 0 <= self.penalty_s < math.inf:
+            raise ValueError("breaker penalty must be non-negative and finite")
+        if self.trip_headroom_w is not None and not self.trip_headroom_w > 0:
             raise ValueError("breaker trip headroom must be positive (or None)")
         if self.policy == "unlimited":
             self._forbid(
@@ -559,14 +559,14 @@ class GovernorSpec:
                 "trip_headroom_w",
             )
         elif self.policy == "greedy":
-            if self.max_concurrent_sprints is None or self.max_concurrent_sprints < 1:
+            if self.max_concurrent_sprints is None or not self.max_concurrent_sprints >= 1:
                 raise ValueError("greedy needs max_concurrent_sprints >= 1")
             self._forbid("sprint_rate_hz", "burst_sprints")
         elif self.policy == "token_bucket":
-            if self.sprint_rate_hz is None or self.sprint_rate_hz <= 0:
-                raise ValueError("token_bucket needs a positive sprint_rate_hz")
-            if self.burst_sprints is None or self.burst_sprints < 1:
-                raise ValueError("token_bucket needs burst_sprints >= 1")
+            if self.sprint_rate_hz is None or not 0 < self.sprint_rate_hz < math.inf:
+                raise ValueError("token_bucket needs a positive, finite sprint_rate_hz")
+            if self.burst_sprints is None or not 1 <= self.burst_sprints < math.inf:
+                raise ValueError("token_bucket needs a finite burst_sprints >= 1")
             self._forbid("max_concurrent_sprints")
         else:  # cooperative_threshold
             if self.trip_headroom_w is None:

@@ -56,6 +56,7 @@ Usage — the grid is the cross product of the axes:
 from __future__ import annotations
 
 import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass, replace
 
@@ -227,40 +228,44 @@ class SweepSpec:
             raise ValueError(
                 f"unknown disciplines: {bad}; available: {SWEEP_DISCIPLINES}"
             )
-        if any(b is not None and b < 0 for b in self.queue_bounds):
+        if any(b is not None and not b >= 0 for b in self.queue_bounds):
             raise ValueError("queue bounds must be non-negative (or None)")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline must be positive (or None)")
         if self.arrival_kind not in ARRIVAL_KINDS:
             raise ValueError(
                 f"unknown arrival kind {self.arrival_kind!r}; "
                 f"available: {ARRIVAL_KINDS}"
             )
-        if any(rate <= 0 for rate in self.arrival_rates_hz):
-            raise ValueError("arrival rates must be positive")
-        if any(size < 1 for size in self.fleet_sizes):
+        if not all(0 < rate < math.inf for rate in self.arrival_rates_hz):
+            raise ValueError("arrival rates must be positive and finite")
+        if not all(size >= 1 for size in self.fleet_sizes):
             raise ValueError("fleet sizes must be at least 1")
-        if self.n_requests < 1:
+        if not self.n_requests >= 1:
             raise ValueError("at least one request per cell is required")
-        if self.service_mean_s <= 0:
-            raise ValueError("mean service time must be positive")
-        if self.service_cv < 0:
-            raise ValueError("service-time coefficient of variation must be non-negative")
-        if self.slo_s is not None and self.slo_s <= 0:
+        if not 0 < self.service_mean_s < math.inf:
+            raise ValueError("mean service time must be positive and finite")
+        if not 0 <= self.service_cv < math.inf:
+            raise ValueError(
+                "service-time coefficient of variation must be non-negative and finite"
+            )
+        if self.slo_s is not None and not self.slo_s > 0:
             raise ValueError("SLO must be positive")
-        if self.sprint_speedup < 1.0:
-            raise ValueError("sprint speedup must be at least 1x")
+        if not 1.0 <= self.sprint_speedup < math.inf:
+            raise ValueError("sprint speedup must be at least 1x and finite")
         if self.arrival_kind == "bursty":
-            if self.burst_factor <= 1.0:
-                raise ValueError("burst factor must exceed 1 (burst rate above mean)")
-            if self.burst_mean_requests <= 0:
-                raise ValueError("mean requests per burst must be positive")
+            if not 1.0 < self.burst_factor < math.inf:
+                raise ValueError(
+                    "burst factor must exceed 1 (burst rate above mean) and be finite"
+                )
+            if not 0 < self.burst_mean_requests < math.inf:
+                raise ValueError("mean requests per burst must be positive and finite")
         if self.arrival_kind == "diurnal":
             if not 0.0 <= self.diurnal_amplitude < 1.0:
                 raise ValueError("diurnal amplitude must be in [0, 1)")
-            if self.diurnal_period_s <= 0:
-                raise ValueError("diurnal period must be positive")
-        if self.replications < 1:
+            if not 0 < self.diurnal_period_s < math.inf:
+                raise ValueError("diurnal period must be positive and finite")
+        if not self.replications >= 1:
             raise ValueError("at least one replication per cell is required")
         if self.pairing not in PAIRING_MODES:
             raise ValueError(

@@ -1078,9 +1078,11 @@ class TelemetrySpec:
             raise ValueError(
                 f"sketch capacity must be at least {QuantileSketch.MIN_CAPACITY}"
             )
-        if self.timeline_cadence_s is not None and self.timeline_cadence_s <= 0:
-            raise ValueError("timeline cadence must be positive (or None)")
-        if self.trace_capacity is not None and self.trace_capacity < 0:
+        if self.timeline_cadence_s is not None and not (
+            0 < self.timeline_cadence_s < math.inf
+        ):
+            raise ValueError("timeline cadence must be positive and finite (or None)")
+        if self.trace_capacity is not None and not self.trace_capacity >= 0:
             raise ValueError("trace capacity must be non-negative (or None)")
 
     @property

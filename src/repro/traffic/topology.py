@@ -50,6 +50,7 @@ Usage::
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -107,8 +108,10 @@ class RackSpec:
     thermal: ThermalSpec | str | None = None
 
     def __post_init__(self) -> None:
-        if self.n_devices < 1:
+        if not self.n_devices >= 1:
             raise ValueError("a rack needs at least one device")
+        if self.sprint_speedup is not None and not 1.0 <= self.sprint_speedup < math.inf:
+            raise ValueError("rack sprint speedup must be at least 1x and finite (or None)")
         if isinstance(self.thermal, str):
             object.__setattr__(self, "thermal", ThermalSpec(backend=self.thermal))
 
@@ -167,8 +170,8 @@ class TopologySpec:
     def __post_init__(self) -> None:
         if not self.rows:
             raise ValueError("a topology needs at least one row")
-        if self.window_s <= 0:
-            raise ValueError("the synchronisation window must be positive")
+        if not 0 < self.window_s < math.inf:
+            raise ValueError("the synchronisation window must be positive and finite")
         if self.dispatch not in TOPOLOGY_DISPATCH:
             raise ValueError(
                 f"unknown topology dispatch {self.dispatch!r}; "

@@ -56,6 +56,11 @@ class TestThermalSpec:
         with pytest.raises(ValueError, match="must be positive"):
             ThermalSpec.rc(0.0)
 
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_rc_rejects_non_finite_time_constant(self, tau):
+        with pytest.raises(ValueError, match="time constant"):
+            ThermalSpec.rc(tau)
+
     def test_labels(self):
         assert ThermalSpec.linear().label == "linear"
         assert ThermalSpec.rc().label == "rc"

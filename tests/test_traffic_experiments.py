@@ -426,6 +426,27 @@ class TestValidation:
                 arrivals=arrivals, service=service, n_requests=5, discipline="nope"
             )
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(sprint_speedup=math.nan),
+            dict(sprint_speedup=0.5),
+            dict(slo_s=math.nan),
+            dict(slo_s=-1.0),
+            dict(deadline_s=math.nan),
+            dict(deadline_s=-1.0),
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_scenario_rejects_bad_numeric_knobs(self, kwargs):
+        with pytest.raises(ValueError):
+            Scenario(
+                arrivals=PoissonArrivals(0.1),
+                service=FixedService(2.0),
+                n_requests=5,
+                **kwargs,
+            )
+
     def test_scenario_normalises_names_to_specs(self):
         scenario = Scenario(
             arrivals=PoissonArrivals(0.1),

@@ -12,13 +12,16 @@ import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.traffic import fastpath
 from repro.traffic.arrivals import PoissonArrivals
+from repro.traffic.device import SprintDevice
+from repro.traffic.engine import DISPATCH_POLICIES, ServingEngine
 from repro.traffic.fleet import FleetSimulator
 from repro.traffic.governor import GovernorSpec
 from repro.traffic.request import (
     GammaService,
+    Request,
     RequestBlock,
-    generate_request_blocks,
     generate_requests,
 )
 from repro.traffic.topology import TopologySpec
@@ -32,8 +35,11 @@ GOVERNORS = (
 )
 THERMALS = ("linear", "rc", "pcm")
 
-#: The envelope fastpath.unsupported_reason promises to vectorize.
-BATCHABLE = ("round_robin", "random")
+#: Fleet widths the identity locks run at: one below
+#: ``fastpath.LOCKSTEP_MIN_DEVICES`` (ungoverned immediate round_robin/random
+#: take the event core) and one at or above it (they take the lockstep core),
+#: so both batched cores stay under every lock.
+FLEET_SIZES = (4, 64)
 
 
 @pytest.fixture(scope="module")
@@ -51,10 +57,10 @@ def requests():
 
 
 def build_fleet(config, engine, *, policy="round_robin", mode="immediate",
-                governor="unlimited", thermal="linear", **kw):
+                governor="unlimited", thermal="linear", n_devices=4, **kw):
     return FleetSimulator(
         config,
-        n_devices=4,
+        n_devices=n_devices,
         policy=policy,
         mode=mode,
         governor=governor,
@@ -79,31 +85,29 @@ def assert_identical(exact, fast):
 class TestScenarioMatrix:
     """batched == exact on every cell of the golden scenario matrix."""
 
+    @pytest.mark.parametrize("n_devices", FLEET_SIZES)
     @pytest.mark.parametrize("thermal", THERMALS)
     @pytest.mark.parametrize("governor", GOVERNORS, ids=lambda g: g.policy)
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("policy", POLICIES)
     def test_batched_matches_exact(
-        self, config, requests, policy, mode, governor, thermal
+        self, config, requests, policy, mode, governor, thermal, n_devices
     ):
         exact = build_fleet(
             config, "exact", policy=policy, mode=mode,
-            governor=governor, thermal=thermal,
+            governor=governor, thermal=thermal, n_devices=n_devices,
         ).run(requests, seed=7)
         fast = build_fleet(
             config, "batched", policy=policy, mode=mode,
-            governor=governor, thermal=thermal,
+            governor=governor, thermal=thermal, n_devices=n_devices,
         ).run(requests, seed=7)
         assert_identical(exact, fast)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_engagement_matches_envelope(self, config, policy):
-        """The vector core engages exactly where the envelope says it can."""
+        """Every named immediate policy is inside the envelope on a linear fleet."""
         engine = build_fleet(config, "batched", policy=policy)._make_engine()
-        if policy in BATCHABLE:
-            assert engine.fast_path_reason is None
-        else:
-            assert "state" in engine.fast_path_reason
+        assert engine.fast_path_reason is None
 
 
 class TestFallbackReasons:
@@ -159,15 +163,15 @@ class TestFallbackReasons:
         assert engine.last_run_fast_path
 
     def test_custom_dispatch_callable_reason(self, config):
-        from repro.traffic.engine import DISPATCH_POLICIES
-
         engine = build_fleet(
             config, "batched", policy=DISPATCH_POLICIES["round_robin"]
         )._make_engine()
         assert engine.fast_path_reason is not None
 
     def test_ineligible_batched_run_falls_back(self, config, requests):
-        fleet = build_fleet(config, "batched", policy="least_loaded")
+        fleet = build_fleet(
+            config, "batched", mode="central_queue", discipline="edf"
+        )
         engine = fleet._make_engine()
         engine.run(requests, np.random.default_rng(0))
         assert not engine.last_run_fast_path
@@ -177,11 +181,12 @@ class TestStreamingEntryPoints:
     ARRIVALS = PoissonArrivals(0.6)
     SERVICE = GammaService(2.0, cv=1.0)
 
+    @pytest.mark.parametrize("n_devices", FLEET_SIZES)
     @pytest.mark.parametrize("chunk", [32, 1000])
-    def test_run_blocks_matches_run(self, config, chunk):
+    def test_run_blocks_matches_run(self, config, chunk, n_devices):
         """Chunked block execution == materialise-then-run, same seeds."""
         scalar = generate_requests(self.ARRIVALS, self.SERVICE, n=300, seed=17)
-        fleet = build_fleet(config, "batched")
+        fleet = build_fleet(config, "batched", n_devices=n_devices)
         via_run = fleet.run(scalar, seed=5)
         via_stream = fleet.run_stream(
             self.ARRIVALS, self.SERVICE, 300,
@@ -189,32 +194,39 @@ class TestStreamingEntryPoints:
         )
         assert_identical(via_run, via_stream)
 
-    def test_run_stream_exact_engine_matches_batched(self, config):
-        exact = build_fleet(config, "exact").run_stream(
+    @pytest.mark.parametrize("n_devices", FLEET_SIZES)
+    def test_run_stream_exact_engine_matches_batched(self, config, n_devices):
+        exact = build_fleet(config, "exact", n_devices=n_devices).run_stream(
             self.ARRIVALS, self.SERVICE, 300, request_seed=17, run_seed=5
         )
-        fast = build_fleet(config, "batched").run_stream(
+        fast = build_fleet(config, "batched", n_devices=n_devices).run_stream(
             self.ARRIVALS, self.SERVICE, 300, request_seed=17, run_seed=5
         )
         assert_identical(exact, fast)
 
-    def test_keep_samples_false_keeps_counts_and_device_state(self, config):
-        kept = build_fleet(config, "batched", keep_samples=True).run_stream(
-            self.ARRIVALS, self.SERVICE, 300, request_seed=17, run_seed=5
-        )
+    @pytest.mark.parametrize("n_devices", FLEET_SIZES)
+    def test_keep_samples_false_keeps_counts_and_device_state(self, config, n_devices):
+        kept = build_fleet(
+            config, "batched", keep_samples=True, n_devices=n_devices
+        ).run_stream(self.ARRIVALS, self.SERVICE, 300, request_seed=17, run_seed=5)
         flat = build_fleet(
-            config, "batched", keep_samples=False, telemetry=False
+            config, "batched", keep_samples=False, telemetry=False, n_devices=n_devices
         ).run_stream(self.ARRIVALS, self.SERVICE, 300, request_seed=17, run_seed=5)
         assert flat.served == ()
         assert flat.served_count == kept.served_count == 300
         assert flat.device_stats == kept.device_stats
         assert flat.final_event_s == kept.final_event_s
 
-    def test_random_policy_consumes_identical_rng_stream(self, config):
+    @pytest.mark.parametrize("n_devices", FLEET_SIZES)
+    def test_random_policy_consumes_identical_rng_stream(self, config, n_devices):
         """One block draw of assignments == per-request scalar draws."""
         scalar = generate_requests(self.ARRIVALS, self.SERVICE, n=200, seed=3)
-        exact = build_fleet(config, "exact", policy="random").run(scalar, seed=11)
-        fast = build_fleet(config, "batched", policy="random").run(scalar, seed=11)
+        exact = build_fleet(
+            config, "exact", policy="random", n_devices=n_devices
+        ).run(scalar, seed=11)
+        fast = build_fleet(
+            config, "batched", policy="random", n_devices=n_devices
+        ).run(scalar, seed=11)
         assert_identical(exact, fast)
         assert [s.device_id for s in exact.served] == [
             s.device_id for s in fast.served
@@ -288,11 +300,7 @@ class TestEnvelopeHonestyFuzz:
         expected = (
             knobs["thermal"] == "linear"
             and knobs["governor"].policy != "token_bucket"
-            and (
-                knobs["discipline"] == "fifo"
-                if central
-                else knobs["policy"] in BATCHABLE
-            )
+            and knobs["discipline"] != "edf"
         )
         assert fast.fast_path == expected
         assert (fast.fast_path_reason is None) == expected
@@ -373,30 +381,91 @@ class TestShardedFastPath:
         assert_identical(serial, fanned)
 
 
-class TestPushMany:
-    """LeastLoadedIndex.push_many is pick-equivalent to per-position updates."""
+class TestCoreRouting:
+    """Ungoverned immediate round_robin/random runs take the lockstep core
+    only from ``LOCKSTEP_MIN_DEVICES`` devices; every other batched run
+    takes the event core."""
 
-    @pytest.mark.parametrize("batch", [1, 3, 16])
-    def test_matches_sequential_updates(self, config, batch):
-        from repro.traffic.device import SprintDevice
-        from repro.traffic.engine import LeastLoadedIndex
-        from repro.traffic.request import Request
+    def test_fleet_sizes_straddle_lockstep_width(self):
+        assert min(FLEET_SIZES) < fastpath.LOCKSTEP_MIN_DEVICES <= max(FLEET_SIZES)
 
-        rng = np.random.default_rng(batch)
-        devices = [SprintDevice(config, device_id=i) for i in range(16)]
-        mirror = [SprintDevice(config, device_id=i) for i in range(16)]
-        indexed = LeastLoadedIndex(devices)
-        reference = LeastLoadedIndex(mirror)
-        t = 0.0
-        for step in range(20):
-            t += float(rng.exponential(2.0))
-            positions = [int(p) for p in rng.integers(16, size=batch)]
-            for pos in positions:
-                request = Request(
-                    index=0, arrival_s=t, sustained_time_s=float(rng.uniform(1, 4))
+    @pytest.mark.parametrize(
+        "policy, governor, n_devices, lockstep",
+        [
+            ("round_robin", "unlimited", 4, False),
+            ("round_robin", "unlimited", 64, True),
+            ("random", "unlimited", 64, True),
+            ("least_loaded", "unlimited", 64, False),
+            ("thermal_aware", "unlimited", 64, False),
+            ("round_robin", GovernorSpec.greedy(2), 64, False),
+        ],
+    )
+    def test_core_chosen_by_width(
+        self, config, requests, monkeypatch, policy, governor, n_devices, lockstep
+    ):
+        cores = []
+
+        def spy(name):
+            core = getattr(fastpath, name)
+
+            def wrapped(*args):
+                cores.append(name)
+                return core(*args)
+
+            monkeypatch.setattr(fastpath, name, wrapped)
+
+        spy("_run_immediate_core")
+        spy("_run_event_core")
+        build_fleet(
+            config, "batched", policy=policy, governor=governor, n_devices=n_devices
+        ).run(requests, seed=7)
+        assert cores == ["_run_immediate_core" if lockstep else "_run_event_core"]
+
+
+class TestServingHistory:
+    """Tie-breaks read lifetime served counts, serving history included, on
+    both engines: a batched run on devices that already served requests
+    dispatches exactly as the exact loop does."""
+
+    @staticmethod
+    def seasoned_fleet(config):
+        devices = [SprintDevice(config, device_id=i) for i in range(3)]
+        for k in range(3):
+            devices[0].serve(Request(k, float(k), 0.5))
+        devices[1].serve(Request(0, 0.0, 0.5))
+        return devices
+
+    @pytest.mark.parametrize(
+        "mode, policy",
+        [("central_queue", "round_robin"), ("immediate", "least_loaded")],
+    )
+    def test_batched_matches_exact_after_history(self, config, mode, policy):
+        requests = [Request(0, 20.0, 1.0), Request(1, 20.0, 1.0)]
+        runs = {}
+        for execution in ("exact", "batched"):
+            devices = self.seasoned_fleet(config)
+            engine = ServingEngine(
+                devices,
+                DISPATCH_POLICIES[policy],
+                policy,
+                mode=mode,
+                execution=execution,
+            )
+            outcome = engine.run(requests, np.random.default_rng(0))
+            state = [
+                (
+                    d.requests_served,
+                    d.busy_until_s,
+                    d.sprints_served,
+                    d.busy_seconds,
+                    d.thermal_backend.stored_heat_j,
                 )
-                devices[pos].serve(request)
-                mirror[pos].serve(request)
-                reference.update(pos)
-            indexed.push_many(positions)
-            assert indexed.pick(t) == reference.pick(t)
+                for d in devices
+            ]
+            runs[execution] = (outcome, engine.last_run_fast_path, state)
+        exact, fast = runs["exact"], runs["batched"]
+        assert fast[1] and not exact[1]
+        assert exact[0] == fast[0]
+        assert exact[2] == fast[2]
+        # The least-served device wins the tie at t=20, history included.
+        assert [s.device_id for s in fast[0].served] == [2, 1]

@@ -246,6 +246,12 @@ class TestFleetSimulator:
         with pytest.raises(ValueError, match="unique"):
             FleetSimulator(config, 2).run([request, request])
 
+    @pytest.mark.parametrize("speedup", [float("nan"), float("inf")])
+    def test_validation_rejects_non_finite_speedup(self, config, speedup):
+        """A NaN speedup used to run and report p99 = mean = nan."""
+        with pytest.raises(ValueError, match="speedup"):
+            FleetSimulator(config, n_devices=2, sprint_speedup=speedup)
+
     def test_empty_request_stream_is_a_valid_run(self, config):
         """Sparse arrival processes can materialise zero requests; a sweep
         over them must get an empty result, not a crash."""

@@ -446,6 +446,18 @@ class TestGovernorSpec:
         with pytest.raises(ValueError):
             GovernorSpec.cooperative(10.0, penalty_s=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(policy="greedy", max_concurrent_sprints=2, penalty_s=float("nan")),
+            dict(policy="token_bucket", sprint_rate_hz=float("nan"), burst_sprints=2),
+        ],
+        ids=("greedy-penalty_s=nan", "token_bucket-sprint_rate_hz=nan"),
+    )
+    def test_validation_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            GovernorSpec(**kwargs)
+
     def test_labels_are_compact(self):
         assert GovernorSpec.unlimited().label == "unlimited"
         assert GovernorSpec.greedy(4).label == "greedy[4]"

@@ -15,6 +15,7 @@ from repro.traffic.sweep import (
 )
 
 CONFIG = SystemConfig.paper_default()
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +261,25 @@ class TestValidation:
             SweepSpec(arrival_kind="diurnal", diurnal_period_s=0.0)
         # Diurnal knobs are only validated when the diurnal kind reads them.
         SweepSpec(arrival_kind="poisson", diurnal_amplitude=1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(arrival_rates_hz=(NAN,)),
+            dict(arrival_rates_hz=(INF,)),
+            dict(service_mean_s=NAN),
+            dict(service_cv=NAN),
+            dict(slo_s=NAN),
+            dict(deadline_s=NAN),
+            dict(sprint_speedup=NAN),
+            dict(sprint_speedup=INF),
+        ],
+        ids=lambda kw: ",".join(f"{k}={v}".replace(" ", "") for k, v in kw.items()),
+    )
+    def test_spec_rejects_non_finite(self, kwargs):
+        """A NaN or infinite knob fails at construction, not as NaN summaries."""
+        with pytest.raises(ValueError):
+            SweepSpec(**kwargs)
 
     def test_worker_validation(self, small_spec):
         with pytest.raises(ValueError):

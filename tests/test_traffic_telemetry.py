@@ -372,6 +372,11 @@ class TestTelemetryKnobs:
         assert not TelemetrySpec(sketch=False).enabled
         assert TelemetrySpec(sketch=False, trace_capacity=16).enabled
 
+    @pytest.mark.parametrize("cadence", [math.nan, math.inf])
+    def test_spec_rejects_non_finite_cadence(self, cadence):
+        with pytest.raises(ValueError, match="cadence"):
+            TelemetrySpec(timeline_cadence_s=cadence)
+
     def test_spec_builders(self):
         spec = TelemetrySpec(
             sketch=False, timeline_cadence_s=5.0, trace_capacity=0

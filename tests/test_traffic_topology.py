@@ -89,6 +89,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="dispatch"):
             TopologySpec(rows=rows, governor=GovernorSpec(), dispatch="hottest_rack")
 
+    @pytest.mark.parametrize("window_s", [float("nan"), float("inf")])
+    def test_window_rejects_non_finite(self, window_s):
+        with pytest.raises(ValueError, match="window"):
+            TopologySpec.uniform(2, 2, 2, window_s=window_s)
+
+    @pytest.mark.parametrize("speedup", [float("nan"), float("inf"), 0.5])
+    def test_rack_speedup_validation(self, speedup):
+        """A sharded fleet builds rack devices only at run time, so the rack
+        override is checked where it is declared."""
+        with pytest.raises(ValueError, match="speedup"):
+            RackSpec(n_devices=2, sprint_speedup=speedup)
+
     def test_paths_and_labels(self):
         topo = TopologySpec.uniform(2, 2, 2)
         assert topo.rack_paths == (
