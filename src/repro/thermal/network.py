@@ -112,6 +112,9 @@ class ThermalNetwork:
         self.ambient_c = ambient_c
         self._nodes: dict[str, _CapacitanceNode | _PcmNode | _FixedNode] = {}
         self._edges: list[_Edge] = []
+        #: (node, summed edge conductance) of every coupled node, in node
+        #: order; rebuilt whenever a node or an edge is added.
+        self._coupled: list[tuple] = []
         self._time_s = 0.0
         self._injected_j = 0.0
 
@@ -131,17 +134,20 @@ class ThermalNetwork:
             self.ambient_c if initial_temperature_c is None else initial_temperature_c
         )
         self._nodes[name] = _CapacitanceNode(name, capacitance_j_k, temperature)
+        self._sum_conductances()
 
     def add_pcm_node(self, name: str, block: PhaseChangeBlock) -> None:
         """Add a node whose state is a :class:`PhaseChangeBlock`."""
         self._check_new_name(name)
         self._nodes[name] = _PcmNode(name, block)
+        self._sum_conductances()
 
     def add_fixed_node(self, name: str, temperature_c: float | None = None) -> None:
         """Add a fixed-temperature node (the ambient environment)."""
         self._check_new_name(name)
         temperature = self.ambient_c if temperature_c is None else temperature_c
         self._nodes[name] = _FixedNode(name, temperature)
+        self._sum_conductances()
 
     def connect(self, node_a: str, node_b: str, resistance_k_w: float) -> None:
         """Connect two nodes with a thermal resistance in K/W."""
@@ -153,6 +159,20 @@ class ThermalNetwork:
         if node_a == node_b:
             raise ValueError("cannot connect a node to itself")
         self._edges.append(_Edge(node_a, node_b, resistance_k_w))
+        self._sum_conductances()
+
+    def _sum_conductances(self) -> None:
+        """Cache each node's total edge conductance (topology changes only)."""
+        conductance: dict[str, float] = {name: 0.0 for name in self._nodes}
+        for edge in self._edges:
+            g = 1.0 / edge.resistance_k_w
+            conductance[edge.node_a] += g
+            conductance[edge.node_b] += g
+        self._coupled = [
+            (node, conductance[name])
+            for name, node in self._nodes.items()
+            if conductance[name] != 0.0
+        ]
 
     def _check_new_name(self, name: str) -> None:
         if not name:
@@ -306,17 +326,14 @@ class ThermalNetwork:
     # -- internals ----------------------------------------------------------------
 
     def _stable_dt(self) -> float:
-        """Largest forward-Euler step that keeps every node stable."""
-        conductance: dict[str, float] = {name: 0.0 for name in self._nodes}
-        for edge in self._edges:
-            g = 1.0 / edge.resistance_k_w
-            conductance[edge.node_a] += g
-            conductance[edge.node_b] += g
+        """Largest forward-Euler step that keeps every node stable.
+
+        Conductances change only with the topology, so they come from the
+        cache; capacities are read per call because a PCM node's effective
+        capacity changes with its phase.
+        """
         smallest = float("inf")
-        for name, node in self._nodes.items():
-            g = conductance[name]
-            if g == 0.0:
-                continue
+        for node, g in self._coupled:
             capacity = node.effective_capacity()
             if capacity == float("inf"):
                 continue

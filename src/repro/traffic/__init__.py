@@ -79,7 +79,7 @@ from repro.traffic.arrivals import (
     TraceArrivals,
     seed_stream,
 )
-from repro.traffic.device import ServedRequest, SprintDevice
+from repro.traffic.device import ServedColumns, ServedRequest, SprintDevice
 from repro.traffic.experiments import (
     ComparisonResult,
     ExperimentResult,
@@ -228,6 +228,7 @@ __all__ = [
     "SUMMARY_STAT_FIELDS",
     "SWEEP_DISCIPLINES",
     "Scenario",
+    "ServedColumns",
     "ServedRequest",
     "ServiceModel",
     "ServingEngine",

@@ -12,6 +12,9 @@ per-request PCM enthalpy, whose temperature/melt telemetry rides on every
 :class:`ServedRequest`.  The device also exposes the two projections a
 dispatcher needs without perturbing state: when it will next be free, and
 how much sprint budget a request arriving at a given time would find.
+A run reports its served requests as :class:`ServedColumns` — one array per
+:class:`ServedRequest` field — and builds the objects only for a caller
+that reads them.
 
 Two entry points hand the device work, matching the two dispatch modes of
 :mod:`repro.traffic.engine`:
@@ -37,12 +40,16 @@ finishes it in half a second:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.pacing import SprintPacer, TaskOutcome
 from repro.core.thermal_backend import ThermalBackend, ThermalSpec
-from repro.traffic.request import Request
+from repro.traffic.request import Request, RequestBlock
 
 
 @dataclass(frozen=True)
@@ -83,6 +90,114 @@ class ServedRequest:
     def missed_deadline(self) -> bool:
         """True when the request had a deadline and completed after it."""
         return self.completed_at_s > self.request.deadline_at_s
+
+
+@dataclass(frozen=True)
+class ServedColumns:
+    """Served requests as columns, one row per request.
+
+    The batched cores' native output and the source of truth behind every
+    result's ``served`` tuple.  ``requests`` holds each row's request; the
+    other columns hold the :class:`ServedRequest` fields of the same name.
+    :meth:`to_objects` builds the equal :class:`ServedRequest` tuple for a
+    caller that reads one, and summaries read the columns directly.
+    """
+
+    requests: RequestBlock
+    device_id: np.ndarray
+    sprinted: np.ndarray
+    queueing_delay_s: np.ndarray
+    service_time_s: np.ndarray
+    stored_heat_before_j: np.ndarray
+    stored_heat_after_j: np.ndarray
+    sprint_fullness: np.ndarray
+    package_temperature_c: np.ndarray
+    melt_fraction: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ServedColumns):
+            return NotImplemented
+        return self.to_objects() == other.to_objects()
+
+    def _outcomes(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in _OUTCOME_FIELDS]
+
+    @classmethod
+    def empty(cls) -> "ServedColumns":
+        """No served requests."""
+        return cls.from_objects(())
+
+    @classmethod
+    def from_objects(cls, served: Sequence[ServedRequest]) -> "ServedColumns":
+        """The columns of ``served``, in their order."""
+        n = len(served)
+        types = {"device_id": np.int64, "sprinted": bool}
+        return cls(
+            RequestBlock.from_requests([s.request for s in served]),
+            *(
+                np.fromiter(
+                    (getattr(s, name) for s in served), dtype=types.get(name, float), count=n
+                )
+                for name in _OUTCOME_FIELDS
+            ),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["ServedColumns"]) -> "ServedColumns":
+        """One table holding ``parts``' rows in order."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.empty()
+        return cls(
+            RequestBlock.concat([p.requests for p in parts]),
+            *map(np.concatenate, zip(*(p._outcomes() for p in parts))),
+        )
+
+    def take(self, rows: np.ndarray) -> "ServedColumns":
+        """The table of rows ``rows`` (integer positions), in that order."""
+        return ServedColumns(
+            self.requests.take(rows), *(column[rows] for column in self._outcomes())
+        )
+
+    def in_index_order(self) -> "ServedColumns":
+        """The rows sorted by request index."""
+        order = self.requests.index_order()
+        return self if order is None else self.take(order)
+
+    def to_objects(self) -> tuple[ServedRequest, ...]:
+        """The equal :class:`ServedRequest` tuple, row by row."""
+        return tuple(
+            ServedRequest(*fields)
+            for fields in zip(
+                self.requests.to_requests(), *(c.tolist() for c in self._outcomes())
+            )
+        )
+
+    @property
+    def latency_s(self) -> np.ndarray:
+        """Per-row :attr:`ServedRequest.latency_s`."""
+        return self.queueing_delay_s + self.service_time_s
+
+    @property
+    def completed_at_s(self) -> np.ndarray:
+        """Per-row :attr:`ServedRequest.completed_at_s`."""
+        return self.requests.arrival_s + self.latency_s
+
+    @property
+    def missed_deadline(self) -> np.ndarray:
+        """Per-row :attr:`ServedRequest.missed_deadline`."""
+        deadline_at = self.requests.deadline_at()
+        if deadline_at is None:
+            return np.zeros(len(self), dtype=bool)
+        return self.completed_at_s > deadline_at
+
+
+#: The ServedRequest fields a ServedColumns row holds besides its request.
+_OUTCOME_FIELDS = tuple(f.name for f in dataclasses.fields(ServedColumns))[1:]
 
 
 class SprintDevice:

@@ -86,14 +86,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.traffic.device import ServedRequest, SprintDevice
+from repro.traffic.device import ServedColumns, ServedRequest, SprintDevice
 from repro.traffic.governor import GovernorStats, SprintGovernor
-from repro.traffic.request import Request
+from repro.traffic.request import Request, RequestBlock
 from repro.traffic.telemetry import EventTrace, TimelineProbe, TrafficTelemetry
 
 #: A dispatch policy maps (devices, request, rng, round-robin cursor) to a
@@ -361,23 +361,55 @@ class LeastLoadedIndex:
         return len(self._idle) + len(self._busy)
 
 
-@dataclass(frozen=True)
-class EngineResult:
-    """Everything one engine run produced, by request fate.
+class ResultViews:
+    """``served``/``rejected``/``abandoned`` as tuples of objects.
 
-    ``served`` is in completion order of the underlying event processing;
-    callers usually re-sort by ``request.index``.  ``rejected`` holds
-    arrivals bounced by a full bounded queue, ``abandoned`` the queued
-    requests whose deadline expired before a device picked them up.
+    Results hold columns (``served_columns``, ``rejected_columns``,
+    ``abandoned_columns``); these views build the equal object tuples on
+    first access and cache them, so a run that is only summarised never
+    builds a per-request object.
     """
 
-    served: tuple[ServedRequest, ...]
-    rejected: tuple[Request, ...]
-    abandoned: tuple[Request, ...]
+    def _view(self, name: str, build):
+        views = self._views
+        if name not in views:
+            views[name] = tuple(build())
+        return views[name]
+
+    @property
+    def served(self) -> tuple[ServedRequest, ...]:
+        """The served requests as :class:`ServedRequest` objects."""
+        return self._view("served", self.served_columns.to_objects)
+
+    @property
+    def rejected(self) -> tuple[Request, ...]:
+        """Arrivals bounced by a full bounded queue, as :class:`Request` objects."""
+        return self._view("rejected", self.rejected_columns.to_requests)
+
+    @property
+    def abandoned(self) -> tuple[Request, ...]:
+        """Queued requests whose deadline expired, as :class:`Request` objects."""
+        return self._view("abandoned", self.abandoned_columns.to_requests)
+
+
+@dataclass(frozen=True)
+class EngineResult(ResultViews):
+    """Everything one engine run produced, by request fate.
+
+    ``served_columns`` is in the processing order of the underlying events;
+    callers usually re-sort by request index.  ``rejected_columns`` holds
+    arrivals bounced by a full bounded queue, ``abandoned_columns`` the
+    queued requests whose deadline expired before a device picked them up.
+    ``served``, ``rejected`` and ``abandoned`` read them as object tuples.
+    """
+
+    served_columns: ServedColumns = field(default_factory=ServedColumns.empty)
+    rejected_columns: RequestBlock = field(default_factory=RequestBlock.empty)
+    abandoned_columns: RequestBlock = field(default_factory=RequestBlock.empty)
     #: Grant accounting of a governed run (None when ungoverned/unlimited).
     governor_stats: GovernorStats | None = None
     #: Lifecycle counts, always valid — with ``keep_samples=False`` the
-    #: tuples above stay empty to keep memory flat, and these counters are
+    #: columns above stay empty to keep memory flat, and these counters are
     #: the only record of how many requests met each fate.
     served_count: int = 0
     rejected_count: int = 0
@@ -391,6 +423,30 @@ class EngineResult:
     #: take ``max(final_time_s, max completed_at_s)``
     #: (:attr:`repro.traffic.fleet.FleetResult.horizon_s` does).
     final_time_s: float = 0.0
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def from_objects(
+        cls,
+        served: Sequence[ServedRequest],
+        rejected: Sequence[Request],
+        abandoned: Sequence[Request],
+        **fields,
+    ) -> "EngineResult":
+        """The exact loop's result: its objects converted to columns once.
+
+        The objects themselves stay cached as the tuple views.
+        """
+        result = cls(
+            ServedColumns.from_objects(served),
+            RequestBlock.from_requests(rejected),
+            RequestBlock.from_requests(abandoned),
+            **fields,
+        )
+        result._views.update(
+            served=tuple(served), rejected=tuple(rejected), abandoned=tuple(abandoned)
+        )
+        return result
 
 
 class ServingEngine:
@@ -549,24 +605,7 @@ class ServingEngine:
         if self._use_fast_path():
             from repro.traffic.fastpath import run_batched
 
-            count = len(ordered)
-            times = np.fromiter(
-                (r.arrival_s for r in ordered), dtype=float, count=count
-            )
-            demands = np.fromiter(
-                (r.sustained_time_s for r in ordered), dtype=float, count=count
-            )
-            # Deadlines only matter to the central queue (abandonment) and
-            # to telemetry (miss counting); other fast-path runs skip the
-            # column entirely.
-            deadline_at = None
-            if self.mode != "immediate" or self.telemetry is not None:
-                deadline_at = np.fromiter(
-                    (r.deadline_at_s for r in ordered), dtype=float, count=count
-                )
-            return run_batched(
-                self, [(times, demands, ordered, deadline_at, None)], rng
-            )
+            return run_batched(self, [RequestBlock.from_requests(ordered)], rng)
         seq = itertools.count()
         # Entries are (time, kind, seq, payload); seq is unique, so payloads
         # are never compared.  Arrivals are fed into the heap one at a time
@@ -858,10 +897,10 @@ class ServingEngine:
 
         if keep and not observing:
             served_count = len(served)
-        return EngineResult(
-            served=tuple(served),
-            rejected=tuple(rejected),
-            abandoned=tuple(abandoned),
+        return EngineResult.from_objects(
+            served,
+            rejected,
+            abandoned,
             governor_stats=governor.finalize(last_s) if governed else None,
             final_time_s=last_s,
             served_count=served_count,
@@ -876,7 +915,7 @@ class ServingEngine:
         time-ordered (as :func:`~repro.traffic.request.generate_request_blocks`
         emits them).  Under ``execution="batched"`` on a supported
         configuration the columns feed the fast cores directly — with
-        ``keep_samples=False`` (and no probe or trace holding per-request
+        ``keep_samples=False`` (and no probe holding per-request
         references) peak memory is one chunk regardless of horizon.  Any
         other configuration materialises the requests and takes the exact
         loop (O(n) requests in memory), so results are bit-identical in
@@ -885,29 +924,6 @@ class ServingEngine:
         if self._use_fast_path():
             from repro.traffic.fastpath import run_batched
 
-            # Request objects exist only where something keeps a reference
-            # to them (samples, timeline probe, event trace); the sketch
-            # and the cores themselves run on bare columns.  Deadline
-            # columns are block-scalar broadcasts, bit-identical to each
-            # request's own ``deadline_at_s``.
-            need_objects = (
-                self.keep_samples or self.probe is not None or self.trace is not None
-            )
-            need_deadlines = self.mode != "immediate" or self.telemetry is not None
-            stream = (
-                (
-                    block.arrival_s,
-                    block.sustained_time_s,
-                    block.to_requests() if need_objects else None,
-                    (
-                        block.arrival_s + block.deadline_s
-                        if need_deadlines and block.deadline_s is not None
-                        else None
-                    ),
-                    block.start_index,
-                )
-                for block in blocks
-            )
-            return run_batched(self, stream, rng)
+            return run_batched(self, blocks, rng)
         requests = [request for block in blocks for request in block.to_requests()]
         return self.run(requests, rng)

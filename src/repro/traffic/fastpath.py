@@ -11,13 +11,13 @@ work.  Two cores divide the envelope, chosen by cost:
   its interpreter overhead: arrivals merge from the sorted column stream
   instead of living in the heap, the FIFO queue is a deque of tokens,
   device execution is the linear-reservoir arithmetic inlined on plain
-  floats, and request/outcome objects are only constructed when a caller
-  actually keeps them.  Immediate dispatch asks the same questions the
-  exact policies ask, of the core's plain-float mirrors: ``least_loaded``
-  through the exact loop's own
+  floats, and outcomes land in column buffers (objects are built only for
+  a timeline probe, whose ``on_served`` takes one).  Immediate dispatch
+  asks the same questions the exact policies ask, of the core's
+  plain-float mirrors: ``least_loaded`` through the exact loop's own
   :class:`~repro.traffic.engine.LeastLoadedIndex`, ``thermal_aware``
   through its slack window and budget key inlined over the linear
-  reservoir's projection.  Grant decisions go through the *real*
+  reservoir's projection, ``random`` through one block draw per chunk.  Grant decisions go through the *real*
   governor object at the exact event timestamps, so ``GovernorStats``
   ledgers replay exactly — for ``greedy``, ``cooperative_threshold``, and
   any cascade of them.
@@ -48,10 +48,11 @@ than approximate.  The :func:`unsupported_reason` predicate is the single
 source of truth for that envelope, and ``ServingEngine.last_run_fast_path``
 reports which path a run actually took.
 
-Requests are consumed as ``(times, demands, requests, deadline_at,
-start_index)`` column blocks, so the streaming entry point
-(``ServingEngine.run_blocks`` under ``keep_samples=False``) holds one
-chunk in memory regardless of horizon.
+Both cores consume :class:`~repro.traffic.request.RequestBlock` columns
+and emit :class:`~repro.traffic.device.ServedColumns`, so a batched run
+builds no per-request object unless a caller reads one, and the streaming
+entry point (``ServingEngine.run_blocks`` under ``keep_samples=False``)
+holds one chunk in memory regardless of horizon.
 
 Usage — :func:`unsupported_reason` names exactly what keeps a
 configuration on the exact loop:
@@ -93,8 +94,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.core.thermal_backend import LinearReservoir
-from repro.traffic.device import ServedRequest, SprintDevice
-from repro.traffic.request import Request
+from repro.traffic.device import ServedColumns, ServedRequest, SprintDevice
+from repro.traffic.request import RequestBlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.traffic.engine import EngineResult, ServingEngine
@@ -105,27 +106,17 @@ LOCKSTEP_POLICIES = ("round_robin", "random")
 #: Fleet width from which ungoverned immediate ``LOCKSTEP_POLICIES`` runs
 #: take the lockstep core instead of the event core.  A lockstep round costs
 #: ~30 numpy calls whatever its width, so it only pays once rounds are wide.
-#: Measured with round_robin, 20k Gamma(5 s, cv 0.5) requests, on a 2-core
-#: x86 host: on one device the event core served 136k req/s against
-#: lockstep's 15k; with flat memory (``keep_samples=False``) the event core
-#: took 0.92x lockstep's time at 32 devices, 1.12x at 48 and 1.34x at 64,
-#: while with kept samples it stayed 0.80-0.84x up to 64 devices.  48 is
-#: the flat-memory crossover, where the wide fleets lockstep exists for run.
+#: Measured with round_robin, 20k Gamma(5 s, cv 0.5) requests at 0.1 req/s
+#: per device, on a 2-core x86 host: on one device the event core served
+#: 136k req/s against lockstep's 15k; with flat memory
+#: (``keep_samples=False``) the event core took 0.85x lockstep's time at
+#: 32 devices, 1.08x at 48 and 1.29x at 64.  With kept samples both cores
+#: emit columns, and the event core took 0.93x at 24 devices, 1.20x at 32,
+#: 1.52x at 48 and 1.89x at 64, so kept-sample runs cross over earlier,
+#: near 28 devices.  48 is the flat-memory crossover, where the wide fleets
+#: lockstep exists for run; narrower kept-sample runs stay on the event
+#: core, at most ~1.2x off.
 LOCKSTEP_MIN_DEVICES = 48
-
-#: One chunk's stream element: (times, demands, requests, deadline_at,
-#: start_index).  ``requests`` is None unless outcome objects are needed
-#: (keep_samples / probe / trace); ``deadline_at`` is the absolute-deadline
-#: column (None when the chunk carries no deadlines and no observer needs
-#: them); ``start_index`` recovers request indices when objects are absent.
-StreamChunk = tuple[
-    np.ndarray,
-    np.ndarray,
-    "Sequence[Request] | None",
-    "np.ndarray | None",
-    "int | None",
-]
-
 
 def unsupported_reason(engine: "ServingEngine") -> str | None:
     """Why this engine configuration cannot take the vector fast path.
@@ -368,19 +359,20 @@ def _check_chunk_order(
 
 def _run_immediate_core(
     engine: "ServingEngine",
-    stream: Iterable[StreamChunk],
+    stream: Iterable[RequestBlock],
     rng: np.random.Generator,
 ) -> "EngineResult":
     """The lockstep vector core: ungoverned immediate dispatch.
 
-    Observers are fed per chunk from the same output columns that kept
-    samples use: the telemetry sketch through ``observe_batch``, the
-    timeline probe through its windowed batch counters (immediate
-    ungoverned runs touch no gauges), and the event trace through a scalar
-    replay in processing order — each bit-identical to the exact loop's
-    per-event callbacks because every one of those instruments is either
-    order-free (window counters, peaks) or fed in the exact processing
-    order (sketch columns, trace records).
+    Kept samples are the per-chunk output columns themselves, concatenated
+    once at the end (served order is arrival order here).  Observers are
+    fed per chunk from the same columns: the telemetry sketch through
+    ``observe_batch``, the timeline probe through its windowed batch
+    counters (immediate ungoverned runs touch no gauges), and the event
+    trace through a scalar replay in processing order — each bit-identical
+    to the exact loop's per-event callbacks because every one of those
+    instruments is either order-free (window counters, peaks) or fed in the
+    exact processing order (sketch columns, trace records).
     """
     from repro.traffic.engine import EngineResult
 
@@ -391,32 +383,35 @@ def _run_immediate_core(
     trace = engine.trace
     collect = keep or telemetry is not None or probe is not None or trace is not None
     labels = [d.label for d in engine.devices]
-    served: list[ServedRequest] = []
+    kept: list[tuple] = []
     served_count = 0
     cursor = 0
     last_s = 0.0
     previous_end = -np.inf
 
-    for times, demands, requests, deadline_at, start_index in stream:
-        count = times.size
+    for block in stream:
+        count = len(block)
         if count == 0:
             continue
+        times = block.arrival_s
         previous_end = _check_chunk_order(times, previous_end)
         assign = _assignments(engine, count, cursor, rng)
         cursor += count
-        outputs = _advance_chunk(state, assign, times, demands, collect)
+        outputs = _advance_chunk(state, assign, times, block.sustained_time_s, collect)
         served_count += count
         last_s = previous_end
         if not collect:
             continue
         queueing, response, before, after, fullness, temp, sprinted = outputs
+        if keep:
+            kept.append((block, assign, sprinted, *outputs[:6]))
         latency = queueing + response
         completed = times + latency
-        device_ids = state.device_ids[assign]
         if probe is not None:
             probe.on_arrival_batch(times)
             probe.on_served_batch(completed, sprinted, temp)
         if telemetry is not None:
+            deadline_at = block.deadline_at()
             missed = 0
             if deadline_at is not None:
                 missed = int(np.count_nonzero(completed > deadline_at))
@@ -433,14 +428,12 @@ def _run_immediate_core(
                 last_completion_s=float(completed.max()),
             )
         if trace is not None:
-            base = 0 if start_index is None else start_index
             t_l = times.tolist()
             c_l = completed.tolist()
             lat_l = latency.tolist()
             pos_l = assign.tolist()
-            gid_l = device_ids.tolist()
-            for i in range(count):
-                ridx = requests[i].index if requests is not None else base + i
+            gid_l = state.device_ids[assign].tolist()
+            for i, ridx in enumerate(block.indices.tolist()):
                 pos = pos_l[i]
                 trace.add(t_l[i], "arrival", request_index=ridx)
                 trace.add(
@@ -458,40 +451,36 @@ def _run_immediate_core(
                     detail=lat_l[i],
                     label=labels[pos],
                 )
-        if keep:
-            assert requests is not None
-            served.extend(
-                ServedRequest(
-                    request=requests[i],
-                    device_id=int(device_ids[i]),
-                    sprinted=bool(sprinted[i]),
-                    queueing_delay_s=float(queueing[i]),
-                    service_time_s=float(response[i]),
-                    stored_heat_before_j=float(before[i]),
-                    stored_heat_after_j=float(after[i]),
-                    sprint_fullness=float(fullness[i]),
-                    package_temperature_c=float(temp[i]),
-                    melt_fraction=0.0,
-                )
-                for i in range(count)
-            )
 
     state.sync_back()
+    served = ServedColumns.empty()
+    if kept:
+        blocks, assigns, *columns = zip(*kept)
+        queueing, response, before, after, fullness, temp = (
+            np.concatenate(c) for c in columns[1:]
+        )
+        served = ServedColumns(
+            RequestBlock.concat(blocks),
+            state.device_ids[np.concatenate(assigns)],
+            np.concatenate(columns[0]),
+            queueing,
+            response,
+            before,
+            after,
+            fullness,
+            temp,
+            np.zeros(served_count),
+        )
     return EngineResult(
-        served=tuple(served),
-        rejected=(),
-        abandoned=(),
-        governor_stats=None,
+        served_columns=served,
         final_time_s=last_s,
         served_count=served_count,
-        rejected_count=0,
-        abandoned_count=0,
     )
 
 
 def _run_event_core(
     engine: "ServingEngine",
-    stream: Iterable[StreamChunk],
+    stream: Iterable[RequestBlock],
     rng: np.random.Generator,
 ) -> "EngineResult":
     """The batch-replay event core: every batched run lockstep does not take.
@@ -509,9 +498,10 @@ def _run_event_core(
       monotonically increasing token, so heap order *is* append order.
     * **Device execution is inlined** linear-reservoir arithmetic on plain
       floats — the same operations, in the same order, as
-      ``SprintPacer.execute_at`` — and ``Request``/``ServedRequest``
-      objects are only constructed when kept samples, the probe, or the
-      trace actually need them.
+      ``SprintPacer.execute_at``.  Kept samples append those floats to a
+      column buffer (with each request's row in the stream), and
+      ``Request``/``ServedRequest`` objects are only built for the
+      timeline probe's ``on_served``.
 
     Grant decisions, releases, and breaker resets go through the *real*
     governor object at the exact event timestamps (the heap carries
@@ -555,13 +545,14 @@ def _run_event_core(
     telemetry = engine.telemetry
     probe = engine.probe
     trace = engine.trace
-    need_objects = keep or probe is not None or trace is not None
+    need_temperature = keep or probe is not None or telemetry is not None
+    need_deadlines = engine.mode == "central_queue" or telemetry is not None
 
     governor = engine.governor
     governed = governor is not None and not governor.is_unlimited
     central = engine.mode == "central_queue"
     policy = engine.policy_name
-    random_policy = policy == "random"
+    random_policy = policy == "random" and not central
     thermal_aware = policy == "thermal_aware"
     index = None
     if not central and policy == "least_loaded":
@@ -620,13 +611,17 @@ def _run_event_core(
             events.append((device.busy_until_s, 2, next(ctr), pos))
         heapq.heapify(events)
     fifo: deque[int] = deque()
-    # token -> (arrival, demand, deadline_at, request-or-None, index)
+    # token -> (arrival, demand, deadline_at, row, index, request-or-None)
     waiting: dict[int, tuple] = {}
     idle: list[tuple[int, int]] = []
 
-    served: list[ServedRequest] = []
-    rejected: list[Request] = []
-    abandoned: list[Request] = []
+    # Kept samples: the input blocks, and per served request one tuple of
+    # (row, position, sprinted, queueing, service, heat before, heat after,
+    # fullness, temperature), where a row counts requests across blocks.
+    blocks: list[RequestBlock] = []
+    kept: list[tuple] = []
+    rejected_rows: list[int] = []
+    abandoned_rows: list[int] = []
     served_count = rejected_count = abandoned_count = 0
     last_s = 0.0
     cursor = 0
@@ -679,8 +674,9 @@ def _run_event_core(
         s_dem: float,
         dl_at: float,
         start: float,
-        req_obj,
+        row: int,
         ridx: int,
+        req_obj,
         now: float,
         dev_allow=dev_allow,
         refuse=refuse,
@@ -706,6 +702,8 @@ def _run_event_core(
         b_que=b_que,
         b_heat=b_heat,
         b_full=b_full,
+        keep_row=kept.append if keep else None,
+        need_temperature=need_temperature,
         governed=governed,
         greedy_inline=greedy_inline,
     ) -> float:
@@ -840,6 +838,17 @@ def _run_event_core(
                     )
 
         served_count += 1
+        if need_temperature:
+            cap = capacity[pos]
+            tmp = (
+                ambient[pos] + (after2 / cap) * headroom_c[pos]
+                if cap > 0.0
+                else ambient[pos]
+            )
+        if keep_row is not None:
+            keep_row(
+                (row, pos, sprinted, queueing, response, after, after2, fullness, tmp)
+            )
         if telemetry is not None:
             b_lat.append(latency)
             b_que.append(queueing)
@@ -849,12 +858,6 @@ def _run_event_core(
                 tele_sprints += 1
             if completed > dl_at:
                 tele_missed += 1
-            cap = capacity[pos]
-            tmp = (
-                ambient[pos] + (after2 / cap) * headroom_c[pos]
-                if cap > 0.0
-                else ambient[pos]
-            )
             if tmp > tele_peak_t:
                 tele_peak_t = tmp
             if t_arr < tele_first_a:
@@ -863,38 +866,30 @@ def _run_event_core(
                 tele_last_c = completed
             if len(b_lat) >= 4096:
                 flush_telemetry()
-        if need_objects:
-            cap = capacity[pos]
-            tmp = (
-                ambient[pos] + (after2 / cap) * headroom_c[pos]
-                if cap > 0.0
-                else ambient[pos]
-            )
-            outcome = ServedRequest(
-                request=req_obj,
-                device_id=device_ids[pos],
-                sprinted=sprinted,
-                queueing_delay_s=queueing,
-                service_time_s=response,
-                stored_heat_before_j=after,
-                stored_heat_after_j=after2,
-                sprint_fullness=fullness,
-                package_temperature_c=tmp,
-                melt_fraction=0.0,
-            )
-            if keep:
-                served.append(outcome)
-            if probe is not None:
-                probe.on_served(outcome)
-            if trace is not None:
-                trace.add(
-                    completed,
-                    "complete",
-                    request_index=ridx,
+        if probe is not None:
+            probe.on_served(
+                ServedRequest(
+                    request=req_obj,
                     device_id=device_ids[pos],
-                    detail=latency,
-                    label=labels[pos],
+                    sprinted=sprinted,
+                    queueing_delay_s=queueing,
+                    service_time_s=response,
+                    stored_heat_before_j=after,
+                    stored_heat_after_j=after2,
+                    sprint_fullness=fullness,
+                    package_temperature_c=tmp,
+                    melt_fraction=0.0,
                 )
+            )
+        if trace is not None:
+            trace.add(
+                completed,
+                "complete",
+                request_index=ridx,
+                device_id=device_ids[pos],
+                detail=latency,
+                label=labels[pos],
+            )
         return end
 
     def pick_thermal(
@@ -938,7 +933,7 @@ def _run_event_core(
         nonlocal rejected_count
         rejected_count += 1
         if keep:
-            rejected.append(ent[3])
+            rejected_rows.append(ent[3])
         if telemetry is not None:
             telemetry.observe_rejected()
         if probe is not None:
@@ -950,7 +945,7 @@ def _run_event_core(
         nonlocal abandoned_count
         abandoned_count += 1
         if keep:
-            abandoned.append(ent[3])
+            abandoned_rows.append(ent[3])
         if telemetry is not None:
             telemetry.observe_abandoned()
         if probe is not None:
@@ -1006,7 +1001,7 @@ def _run_event_core(
                             label=labels[pos],
                         )
                     end = serve_on(
-                        pos, ent[0], ent[1], ent[2], et, ent[3], ent[4], et
+                        pos, ent[0], ent[1], ent[2], et, ent[3], ent[4], ent[5], et
                     )
                     heappush(events, (end, 2, next(ctr), pos))
                 else:
@@ -1044,22 +1039,30 @@ def _run_event_core(
                     emit_abandoned(ent, et)
 
     previous_end = -np.inf
-    for times, demands, requests, deadline_at, start_index in stream:
-        count = times.size
+    offset = 0
+    for block in stream:
+        count = len(block)
         if count == 0:
             continue
-        previous_end = _check_chunk_order(times, previous_end)
-        t_l = times.tolist()
-        d_l = demands.tolist()
+        previous_end = _check_chunk_order(block.arrival_s, previous_end)
+        if keep:
+            blocks.append(block)
+        t_l = block.arrival_s.tolist()
+        d_l = block.sustained_time_s.tolist()
+        deadline_at = block.deadline_at() if need_deadlines else None
         dl_l = deadline_at.tolist() if deadline_at is not None else None
-        base = 0 if start_index is None else start_index
+        idx_l = block.indices.tolist() if trace is not None else None
+        # random: one block draw consumes the bit stream exactly like the
+        # exact loop's per-request rng.integers(n) calls.
+        picks = rng.integers(n, size=count).tolist() if random_policy else None
         for i in range(count):
             t = t_l[i]
             if events:
                 pump(t)
             last_s = t
-            robj = requests[i] if requests is not None else None
-            ridx = robj.index if robj is not None else base + i
+            row = offset + i
+            ridx = idx_l[i] if idx_l is not None else row
+            robj = block.request_at(i) if probe is not None else None
             if probe is not None:
                 probe.on_arrival(t)
             if trace is not None:
@@ -1076,14 +1079,14 @@ def _run_event_core(
                             device_id=pos,
                             label=labels[pos],
                         )
-                    end = serve_on(pos, t, d_l[i], dl_at, t, robj, ridx, t)
+                    end = serve_on(pos, t, d_l[i], dl_at, t, row, ridx, robj, t)
                     heappush(events, (end, 2, next(ctr), pos))
                 elif queue_bound is not None and len(waiting) >= queue_bound:
-                    emit_rejected((t, d_l[i], dl_at, robj, ridx), t)
+                    emit_rejected((t, d_l[i], dl_at, row, ridx, robj), t)
                 else:
                     token = next(ctr)
                     fifo.append(token)
-                    waiting[token] = (t, d_l[i], dl_at, robj, ridx)
+                    waiting[token] = (t, d_l[i], dl_at, row, ridx, robj)
                     if probe is not None:
                         probe.on_queue_depth(t, len(waiting))
                     if dl_at != inf:
@@ -1094,7 +1097,7 @@ def _run_event_core(
                 elif thermal_aware:
                     pos = pick_thermal(t, d_l[i])
                 elif random_policy:
-                    pos = int(rng.integers(n))
+                    pos = picks[i]
                 else:
                     pos = cursor % n
                 cursor += 1
@@ -1108,9 +1111,10 @@ def _run_event_core(
                     )
                 c = clock[pos]
                 start = t if t > c else c
-                serve_on(pos, t, d_l[i], dl_at, start, robj, ridx, t)
+                serve_on(pos, t, d_l[i], dl_at, start, row, ridx, robj, t)
                 if index is not None:
                     index.update(pos)
+        offset += count
     pump(inf)
 
     if telemetry is not None:
@@ -1137,10 +1141,16 @@ def _run_event_core(
     state.peak_stored = np.asarray(peak_st)
     state.last_arrival = np.asarray(last_arr)
     state.sync_back()
+    columns = {}
+    if keep:
+        requests = RequestBlock.concat(blocks)
+        columns = dict(
+            served_columns=_served_columns(requests, kept, state.device_ids),
+            rejected_columns=requests.take(np.array(rejected_rows, dtype=np.int64)),
+            abandoned_columns=requests.take(np.array(abandoned_rows, dtype=np.int64)),
+        )
     return EngineResult(
-        served=tuple(served),
-        rejected=tuple(rejected),
-        abandoned=tuple(abandoned),
+        **columns,
         governor_stats=governor.finalize(last_s) if governed else None,
         final_time_s=last_s,
         served_count=served_count,
@@ -1149,23 +1159,38 @@ def _run_event_core(
     )
 
 
+def _served_columns(
+    requests: RequestBlock, kept: list[tuple], device_ids: np.ndarray
+) -> ServedColumns:
+    """The event core's kept-sample buffer as columns, in processing order."""
+    table = np.fromiter(itertools.chain.from_iterable(kept), dtype=float, count=9 * len(kept))
+    table = table.reshape(len(kept), 9)
+    rows = table[:, 0].astype(np.int64)
+    if not np.array_equal(rows, np.arange(len(requests))):
+        requests = requests.take(rows)
+    floats = (np.ascontiguousarray(table[:, k]) for k in range(3, 9))
+    return ServedColumns(
+        requests,
+        device_ids[table[:, 1].astype(np.int64)],
+        table[:, 2] != 0.0,
+        *floats,
+        np.zeros(len(kept)),
+    )
+
+
 def run_batched(
     engine: "ServingEngine",
-    stream: Iterable[StreamChunk],
+    stream: Iterable[RequestBlock],
     rng: np.random.Generator,
 ) -> "EngineResult":
     """Run time-ordered request blocks through the batched cores.
 
-    ``stream`` yields ``(times, demands, requests, deadline_at,
-    start_index)`` columns; ``requests`` is only consulted when outcome
-    objects are needed (kept samples, timeline probe, event trace) and
-    ``deadline_at`` when deadlines matter (central queue, telemetry).  The
-    caller guarantees the concatenated times are non-decreasing — arrival
-    processes emit sorted streams and ``ServingEngine.run`` sorts — which
-    is asserted cheaply per chunk.  Ungoverned immediate
-    ``round_robin``/``random`` runs on fleets of at least
-    :data:`LOCKSTEP_MIN_DEVICES` devices take the lockstep vector core;
-    every other run takes the batch-replay event core.
+    The caller guarantees the concatenated arrival times are
+    non-decreasing — arrival processes emit sorted streams and
+    ``ServingEngine.run`` sorts — which is asserted cheaply per block.
+    Ungoverned immediate ``round_robin``/``random`` runs on fleets of at
+    least :data:`LOCKSTEP_MIN_DEVICES` devices take the lockstep vector
+    core; every other run takes the batch-replay event core.
     """
     governor = engine.governor
     if (

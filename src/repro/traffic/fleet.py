@@ -62,18 +62,24 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.thermal_backend import ThermalSpec
 from repro.traffic.arrivals import DEFAULT_CHUNK, ArrivalProcess
-from repro.traffic.device import ServedRequest, SprintDevice
+from repro.traffic.device import ServedColumns, SprintDevice
 from repro.traffic.engine import (
     DISPATCH_MODES,
     DISPATCH_POLICIES,
     EXECUTION_MODES,
     QUEUE_DISCIPLINES,
     DispatchFn,
+    ResultViews,
     ServingEngine,
 )
 from repro.traffic.governor import GovernorSpec, GovernorStats, SprintGovernor
 from repro.traffic.metrics import TrafficSummary, summarize
-from repro.traffic.request import Request, ServiceModel, generate_request_blocks
+from repro.traffic.request import (
+    Request,
+    RequestBlock,
+    ServiceModel,
+    generate_request_blocks,
+)
 from repro.traffic.telemetry import RunTelemetry, TelemetrySpec
 from repro.traffic.topology import TopologySpec, TopologyStats
 
@@ -113,6 +119,20 @@ def resolve_telemetry(
     )
 
 
+def run_horizon(final_s: float, served: ServedColumns, stream) -> float:
+    """The later of a run's final event and its last served completion.
+
+    ``stream`` is the run's :class:`~repro.traffic.telemetry.TrafficTelemetry`
+    (or None); its last completion counts when samples were not kept.
+    """
+    horizon = final_s
+    if len(served):
+        horizon = max(horizon, float(served.completed_at_s.max()))
+    if stream is not None and stream.request_count:
+        horizon = max(horizon, stream.last_completion_s)
+    return horizon
+
+
 @dataclass(frozen=True)
 class DeviceStats:
     """Per-device accounting at the end of a run."""
@@ -143,17 +163,44 @@ class DeviceStats:
     peak_stored_heat_j: float = 0.0
 
 
-@dataclass(frozen=True)
-class FleetResult:
-    """Everything a fleet run produced."""
+def collect_device_stats(devices: Sequence[SprintDevice]) -> tuple[DeviceStats, ...]:
+    """Each device's accounting as it stands, in fleet order."""
+    return tuple(
+        DeviceStats(
+            device_id=d.device_id,
+            device_label=d.label,
+            requests_served=d.requests_served,
+            busy_seconds=d.busy_seconds,
+            stored_heat_j=d.pacer.stored_heat_j,
+            sprints_served=d.sprints_served,
+            sprint_fullness_mean=d.sprint_fullness_mean,
+            package_temperature_c=d.thermal_backend.temperature_c,
+            melt_fraction=d.thermal_backend.melt_fraction,
+            peak_temperature_c=d.peak_temperature_c,
+            peak_melt_fraction=d.peak_melt_fraction,
+            peak_stored_heat_j=d.peak_stored_heat_j,
+        )
+        for d in devices
+    )
 
-    served: tuple[ServedRequest, ...]
+
+@dataclass(frozen=True)
+class FleetResult(ResultViews):
+    """Everything a fleet run produced.
+
+    Per-request fates are columns: ``served_columns`` in request-index
+    order, ``rejected_columns`` and ``abandoned_columns``.  ``served``,
+    ``rejected`` and ``abandoned`` read them as object tuples, built on
+    first access and cached; summaries and latencies read the columns.
+    """
+
     device_stats: tuple[DeviceStats, ...]
     policy: str
+    served_columns: ServedColumns = field(default_factory=ServedColumns.empty)
     #: Arrivals bounced by a full bounded central queue (admission control).
-    rejected: tuple[Request, ...] = ()
+    rejected_columns: RequestBlock = field(default_factory=RequestBlock.empty)
     #: Queued requests whose deadline expired before a device freed.
-    abandoned: tuple[Request, ...] = ()
+    abandoned_columns: RequestBlock = field(default_factory=RequestBlock.empty)
     #: Grant ledger of a power-governed run (None when the governor was
     #: ``unlimited`` — ungoverned runs have nothing to account).
     governor_stats: GovernorStats | None = None
@@ -164,8 +211,8 @@ class FleetResult:
     #: kept samples and no instruments were requested).
     telemetry: RunTelemetry | None = None
     #: Lifecycle counts, always valid — with ``keep_samples=False`` the
-    #: ``served``/``rejected``/``abandoned`` tuples stay empty and these
-    #: are the only record of each fate's cardinality.
+    #: fate columns stay empty and these are the only record of each
+    #: fate's cardinality.
     served_count: int = 0
     rejected_count: int = 0
     abandoned_count: int = 0
@@ -183,6 +230,7 @@ class FleetResult:
     _summary_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def latencies_s(self) -> np.ndarray:
@@ -191,7 +239,7 @@ class FleetResult:
         Empty when the run dropped samples (``keep_samples=False``) — tail
         statistics then live in ``telemetry.stream``.
         """
-        return np.array([s.latency_s for s in self.served])
+        return self.served_columns.latency_s
 
     @property
     def horizon_s(self) -> float:
@@ -202,12 +250,11 @@ class FleetResult:
         served + rejected + abandoned, the conservation law the invariant
         suite asserts.
         """
-        completions = [s.completed_at_s for s in self.served]
-        if self.telemetry is not None and self.telemetry.stream is not None:
-            stream = self.telemetry.stream
-            if stream.request_count:
-                completions.append(stream.last_completion_s)
-        return max([self.final_event_s, *completions])
+        return run_horizon(
+            self.final_event_s,
+            self.served_columns,
+            None if self.telemetry is None else self.telemetry.stream,
+        )
 
     def summary(self, slo_s: float | None = None) -> TrafficSummary:
         """Aggregate serving metrics (cached per SLO).
@@ -220,18 +267,19 @@ class FleetResult:
         """
         if slo_s not in self._summary_cache:
             stream = self.telemetry.stream if self.telemetry is not None else None
-            if self.served or stream is None:
-                if not self.served and self.served_count:
+            kept = len(self.served_columns)
+            if kept or stream is None:
+                if not kept and self.served_count:
                     raise ValueError(
                         "this run kept no samples and no telemetry stream; "
                         "enable keep_samples or a TelemetrySpec with "
                         "sketch=True to summarise it"
                     )
                 self._summary_cache[slo_s] = summarize(
-                    self.served,
+                    self.served_columns,
                     slo_s=slo_s,
-                    rejected_count=len(self.rejected) or self.rejected_count,
-                    abandoned_count=len(self.abandoned) or self.abandoned_count,
+                    rejected_count=self.rejected_count,
+                    abandoned_count=self.abandoned_count,
                     governor_stats=self.governor_stats,
                 )
             else:
@@ -493,7 +541,8 @@ class FleetSimulator:
         if self._sharded:
             from repro.traffic.shard import run_sharded
 
-            return run_sharded(self, requests, seed, self.shard_workers)
+            block = RequestBlock.from_requests(requests)
+            return run_sharded(self, block, seed, self.shard_workers)
         for device in self.devices:
             device.reset()
         self.governor.reset()
@@ -525,24 +574,21 @@ class FleetSimulator:
         ``None``) with ``keep_samples=False`` the whole run stays in
         vectorized block processing with flat memory; otherwise requests
         are materialised chunk by chunk and served exactly.  A non-flat
-        ``topology`` fleet materialises the stream and runs sharded — rack
-        dispatch plans over the whole stream upfront.
+        ``topology`` fleet concatenates the stream's columns and runs
+        sharded — rack dispatch plans over the whole stream upfront.
         """
         if self._sharded:
             from repro.traffic.shard import run_sharded
 
-            requests = [
-                request
-                for block in generate_request_blocks(
-                    arrivals,
-                    service,
-                    n_requests,
-                    seed=request_seed,
-                    deadline_s=deadline_s,
-                    chunk_size=chunk_size,
-                )
-                for request in block.to_requests()
-            ]
+            blocks = generate_request_blocks(
+                arrivals,
+                service,
+                n_requests,
+                seed=request_seed,
+                deadline_s=deadline_s,
+                chunk_size=chunk_size,
+            )
+            requests = RequestBlock.concat(list(blocks))
             return run_sharded(self, requests, run_seed, self.shard_workers)
         for device in self.devices:
             device.reset()
@@ -564,42 +610,21 @@ class FleetSimulator:
     def _package(
         self, outcome, stream, probe, trace, engine: ServingEngine
     ) -> FleetResult:
-        served = sorted(outcome.served, key=lambda s: s.request.index)
+        served = outcome.served_columns.in_index_order()
         telemetry = None
         if stream is not None or probe is not None or trace is not None:
-            horizon = [outcome.final_time_s]
-            if served:
-                horizon.append(max(s.completed_at_s for s in served))
-            if stream is not None and stream.request_count:
-                horizon.append(stream.last_completion_s)
+            horizon = run_horizon(outcome.final_time_s, served, stream)
             telemetry = RunTelemetry(
                 stream=stream,
-                timeline=None if probe is None else probe.finalize(max(horizon)),
+                timeline=None if probe is None else probe.finalize(horizon),
                 trace=trace,
             )
-        stats = tuple(
-            DeviceStats(
-                device_id=d.device_id,
-                device_label=d.label,
-                requests_served=d.requests_served,
-                busy_seconds=d.busy_seconds,
-                stored_heat_j=d.pacer.stored_heat_j,
-                sprints_served=d.sprints_served,
-                sprint_fullness_mean=d.sprint_fullness_mean,
-                package_temperature_c=d.thermal_backend.temperature_c,
-                melt_fraction=d.thermal_backend.melt_fraction,
-                peak_temperature_c=d.peak_temperature_c,
-                peak_melt_fraction=d.peak_melt_fraction,
-                peak_stored_heat_j=d.peak_stored_heat_j,
-            )
-            for d in self.devices
-        )
         return FleetResult(
-            served=tuple(served),
-            device_stats=stats,
+            device_stats=collect_device_stats(self.devices),
             policy=self.policy_name,
-            rejected=outcome.rejected,
-            abandoned=outcome.abandoned,
+            served_columns=served,
+            rejected_columns=outcome.rejected_columns,
+            abandoned_columns=outcome.abandoned_columns,
             governor_stats=outcome.governor_stats,
             final_event_s=outcome.final_time_s,
             telemetry=telemetry,

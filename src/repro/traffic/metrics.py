@@ -1,13 +1,14 @@
 """Latency and throughput summaries for fleet runs.
 
 The paper argues sprinting buys *responsiveness*; at fleet scale that claim
-lives in the tail of the latency distribution.  This module reduces a list
-of :class:`~repro.traffic.device.ServedRequest` to the numbers a serving
-team actually watches: median and tail latency percentiles, the fraction of
-requests meeting a latency SLO, the fraction that sprinted, delivered
-throughput over the run's makespan — and, for central-queue runs with a
-request lifecycle, how many requests were rejected at admission, abandoned
-in the queue, or served past their deadline.  Power-governed runs
+lives in the tail of the latency distribution.  This module reduces a
+run's served requests (:class:`~repro.traffic.device.ServedColumns`) to
+the numbers a serving team actually watches: median and tail latency
+percentiles, the fraction of requests meeting a latency SLO, the fraction
+that sprinted, delivered throughput over the run's makespan — and, for
+central-queue runs with a request lifecycle, how many requests were
+rejected at admission, abandoned in the queue, or served past their
+deadline.  Power-governed runs
 additionally report the grant ledger (sprints granted and denied, breaker
 trips, time at the budget cap) from the run's
 :class:`~repro.traffic.governor.GovernorStats`.
@@ -37,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.traffic.device import ServedRequest
+from repro.traffic.device import ServedColumns, ServedRequest
 from repro.traffic.governor import GovernorStats
 
 
@@ -560,7 +561,7 @@ def build_summary(
 
 
 def summarize(
-    served: Sequence[ServedRequest],
+    served: ServedColumns | Sequence[ServedRequest],
     slo_s: float | None = None,
     rejected_count: int = 0,
     abandoned_count: int = 0,
@@ -568,8 +569,10 @@ def summarize(
 ) -> TrafficSummary:
     """Reduce a fleet run to its serving metrics.
 
-    An empty ``served`` sequence yields an all-zero summary rather than
-    raising, and a zero makespan (conceivable only for hand-built
+    ``served`` is a run's :class:`~repro.traffic.device.ServedColumns`, or
+    a sequence of :class:`~repro.traffic.device.ServedRequest` (converted
+    to columns first).  An empty run yields an all-zero summary rather
+    than raising, and a zero makespan (conceivable only for hand-built
     instantaneous requests) reports zero throughput rather than ``inf``.
     ``governor_stats`` (from a power-governed run) fills the grant-ledger
     fields; ``None`` leaves them at their ungoverned defaults.
@@ -580,7 +583,9 @@ def summarize(
     (:meth:`repro.traffic.telemetry.TrafficTelemetry.summarize`).
     """
     validate_slo(slo_s)
-    if not served:
+    if not isinstance(served, ServedColumns):
+        served = ServedColumns.from_objects(served)
+    if not len(served):
         return build_summary(
             slo_s=slo_s,
             slo_attainment=None,
@@ -588,11 +593,10 @@ def summarize(
             abandoned_count=abandoned_count,
             governor_stats=governor_stats,
         )
-    latencies = np.array([s.latency_s for s in served])
-    queueing = np.array([s.queueing_delay_s for s in served])
-    arrivals = np.array([s.request.arrival_s for s in served])
-    completions = np.array([s.completed_at_s for s in served])
-    stored_heat = np.array([s.stored_heat_after_j for s in served])
+    latencies = served.latency_s
+    arrivals = served.requests.arrival_s
+    completions = arrivals + latencies
+    stored_heat = served.stored_heat_after_j
     p50, p95, p99 = latency_percentiles(latencies)
     makespan = float(completions.max() - arrivals.min())
     return TrafficSummary(
@@ -604,17 +608,17 @@ def summarize(
         p95_latency_s=p95,
         p99_latency_s=p99,
         max_latency_s=float(latencies.max()),
-        mean_queueing_s=float(queueing.mean()),
-        sprint_fraction=float(np.mean([s.sprinted for s in served])),
-        mean_sprint_fullness=float(np.mean([s.sprint_fullness for s in served])),
+        mean_queueing_s=float(served.queueing_delay_s.mean()),
+        sprint_fraction=float(np.mean(served.sprinted)),
+        mean_sprint_fullness=float(np.mean(served.sprint_fullness)),
         peak_stored_heat_j=float(stored_heat.max()),
         mean_stored_heat_j=float(stored_heat.mean()),
-        peak_temperature_c=max(s.package_temperature_c for s in served),
-        peak_melt_fraction=max(s.melt_fraction for s in served),
+        peak_temperature_c=float(served.package_temperature_c.max()),
+        peak_melt_fraction=float(served.melt_fraction.max()),
         slo_s=slo_s,
         slo_attainment=None if slo_s is None else slo_attainment(latencies, slo_s),
         rejected_count=rejected_count,
         abandoned_count=abandoned_count,
-        deadline_miss_count=sum(1 for s in served if s.missed_deadline),
+        deadline_miss_count=int(np.count_nonzero(served.missed_deadline)),
         **_governor_fields(governor_stats),
     )

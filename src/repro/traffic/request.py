@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -244,15 +245,36 @@ class SuiteService(ServiceModel):
         return demands, tuple(c[1] for c in chosen), tuple(c[2] for c in chosen)
 
 
+def _uniform(values: tuple[str, ...]) -> tuple[str, ...] | str:
+    """One string when every entry is the same one, else the entries."""
+    if len(set(values)) <= 1:
+        return values[0] if values else ""
+    return values
+
+
+def _per_row(value: tuple[str, ...] | str, n: int) -> tuple[str, ...] | list[str]:
+    return [value] * n if isinstance(value, str) else value
+
+
 @dataclass(frozen=True)
 class RequestBlock:
-    """A contiguous chunk of the request stream in columnar (array) form.
+    """A chunk of the request stream in columnar (array) form.
 
-    The batched engine path consumes these directly; :meth:`to_requests`
-    materialises the equivalent :class:`Request` objects, bit-identical to
-    what :func:`generate_requests` builds for the same indices.  Kernels and
-    input labels are a single string when uniform across the block, or one
-    entry per request otherwise.
+    The batched engine cores consume these directly, sharded runs ship them
+    to rack jobs, and results keep their requests in one.
+    :meth:`to_requests` materialises the equivalent :class:`Request`
+    objects, bit-identical to what :func:`generate_requests` builds for the
+    same indices.  Kernels and input labels are a single string when
+    uniform across the block, or one entry per request otherwise.
+    ``deadline_s`` is likewise one relative deadline for the whole block
+    (``None``: no deadlines) or an array with one per request, NaN marking
+    a request without one.  ``index`` holds the request indices when they
+    are not the contiguous run from ``start_index`` (a rack's share of a
+    stream, or a run's served requests in processing order).
+
+    Columns are validated once, here, by the rules of :class:`Request`:
+    arrivals finite and non-negative, demands positive and finite,
+    deadlines positive, indices integers, every column the same length.
     """
 
     start_index: int
@@ -260,37 +282,176 @@ class RequestBlock:
     sustained_time_s: np.ndarray
     kernels: tuple[str, ...] | str = ""
     input_labels: tuple[str, ...] | str = ""
-    deadline_s: float | None = None
+    deadline_s: float | np.ndarray | None = None
+    index: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        arrival, demand, deadline = self.arrival_s, self.sustained_time_s, self.deadline_s
+        n = arrival.size
+        columns = (demand, self.index, deadline, self.kernels, self.input_labels)
+        if any(isinstance(c, (np.ndarray, tuple)) and len(c) != n for c in columns):
+            raise ValueError("request block columns must have equal lengths")
+        if not np.all((arrival >= 0) & (arrival < math.inf)):
+            raise ValueError("arrival time must be finite and non-negative")
+        if not np.all((demand > 0) & (demand < math.inf)):
+            raise ValueError("sustained time must be positive and finite")
+        if isinstance(deadline, np.ndarray):
+            if not np.all(np.isnan(deadline) | (deadline > 0)):
+                raise ValueError("deadline must be positive (or None)")
+        elif deadline is not None and not deadline > 0:
+            raise ValueError("deadline must be positive (or None)")
+        if self.index is not None and self.index.dtype.kind not in "iu":
+            raise ValueError("request indices must be integers")
 
     def __len__(self) -> int:
         return self.arrival_s.size
 
-    def kernel_at(self, i: int) -> str:
-        """Kernel name of request ``i`` within the block."""
-        return self.kernels if isinstance(self.kernels, str) else self.kernels[i]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RequestBlock):
+            return NotImplemented
+        return self.to_requests() == other.to_requests()
 
-    def label_at(self, i: int) -> str:
-        """Input label of request ``i`` within the block."""
-        return (
-            self.input_labels
-            if isinstance(self.input_labels, str)
-            else self.input_labels[i]
+    @classmethod
+    def empty(cls) -> "RequestBlock":
+        """A block of no requests."""
+        return cls(0, np.zeros(0), np.zeros(0))
+
+    @classmethod
+    def from_requests(cls, requests: Sequence[Request]) -> "RequestBlock":
+        """The columns of ``requests``, in their order."""
+        n = len(requests)
+        deadlines = [r.deadline_s for r in requests]
+        deadline = deadlines[0] if n else None
+        if any(d != deadline for d in deadlines):
+            deadline = np.array([math.nan if d is None else d for d in deadlines])
+        return cls(
+            0,
+            np.fromiter((r.arrival_s for r in requests), dtype=float, count=n),
+            np.fromiter((r.sustained_time_s for r in requests), dtype=float, count=n),
+            _uniform(tuple(r.kernel for r in requests)),
+            _uniform(tuple(r.input_label for r in requests)),
+            deadline,
+            index=np.fromiter((r.index for r in requests), dtype=np.int64, count=n),
+        )
+
+    @classmethod
+    def concat(cls, blocks: Sequence["RequestBlock"]) -> "RequestBlock":
+        """One block holding ``blocks``' rows in order."""
+        if len(blocks) == 1:
+            return blocks[0]
+        if not blocks:
+            return cls.empty()
+        sizes = [len(b) for b in blocks]
+
+        def joined(name: str) -> tuple[str, ...] | str:
+            values = [getattr(b, name) for b in blocks]
+            if all(isinstance(v, str) and v == values[0] for v in values):
+                return values[0]
+            return tuple(x for v, size in zip(values, sizes) for x in _per_row(v, size))
+
+        deadline = blocks[0].deadline_s
+        if any(isinstance(b.deadline_s, np.ndarray) or b.deadline_s != deadline for b in blocks):
+            deadline = np.concatenate(
+                [
+                    b.deadline_s
+                    if isinstance(b.deadline_s, np.ndarray)
+                    else np.full(len(b), math.nan if b.deadline_s is None else b.deadline_s)
+                    for b in blocks
+                ]
+            )
+        return cls(
+            0,
+            np.concatenate([b.arrival_s for b in blocks]),
+            np.concatenate([b.sustained_time_s for b in blocks]),
+            joined("kernels"),
+            joined("input_labels"),
+            deadline,
+            index=np.concatenate([b.indices for b in blocks]),
+        )
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The request index of every row."""
+        if self.index is not None:
+            return self.index
+        return np.arange(self.start_index, self.start_index + len(self), dtype=np.int64)
+
+    def deadline_at(self) -> np.ndarray | None:
+        """Every row's absolute deadline (``inf`` where a request has none).
+
+        ``None`` when no request has one.  Bit-identical to each request's
+        :attr:`Request.deadline_at_s`.
+        """
+        deadline = self.deadline_s
+        if deadline is None:
+            return None
+        if isinstance(deadline, np.ndarray):
+            return np.where(np.isnan(deadline), math.inf, self.arrival_s + deadline)
+        return self.arrival_s + deadline
+
+    def index_order(self) -> np.ndarray | None:
+        """Rows sorted by request index (``None`` when already sorted)."""
+        index = self.indices
+        if np.all(index[1:] > index[:-1]):
+            return None
+        return np.argsort(index, kind="stable")
+
+    def in_index_order(self) -> "RequestBlock":
+        """The rows sorted by request index."""
+        order = self.index_order()
+        return self if order is None else self.take(order)
+
+    def take(self, rows: np.ndarray) -> "RequestBlock":
+        """The block of rows ``rows`` (integer positions), in that order."""
+        def pick(column):
+            if isinstance(column, (str, float, int)) or column is None:
+                return column
+            if isinstance(column, np.ndarray):
+                return column[rows]
+            return tuple(column[i] for i in rows.tolist())
+
+        return RequestBlock(
+            0,
+            self.arrival_s[rows],
+            self.sustained_time_s[rows],
+            pick(self.kernels),
+            pick(self.input_labels),
+            pick(self.deadline_s),
+            index=self.indices[rows],
+        )
+
+    def request_at(self, i: int) -> Request:
+        """Row ``i`` as a :class:`Request`."""
+        kernels, labels, deadline = self.kernels, self.input_labels, self.deadline_s
+        if isinstance(deadline, np.ndarray):
+            deadline = None if math.isnan(deadline[i]) else float(deadline[i])
+        return Request(
+            self.start_index + i if self.index is None else int(self.index[i]),
+            float(self.arrival_s[i]),
+            float(self.sustained_time_s[i]),
+            kernels if isinstance(kernels, str) else kernels[i],
+            labels if isinstance(labels, str) else labels[i],
+            deadline,
         )
 
     def to_requests(self) -> list[Request]:
         """Materialise the block as :class:`Request` objects."""
-        times = self.arrival_s
-        demands = self.sustained_time_s
+        n = len(self)
+        deadline = self.deadline_s
+        if isinstance(deadline, np.ndarray):
+            deadlines = [None if d != d else d for d in deadline.tolist()]
+        else:
+            deadlines = [deadline] * n
         return [
-            Request(
-                index=self.start_index + i,
-                arrival_s=float(times[i]),
-                sustained_time_s=float(demands[i]),
-                kernel=self.kernel_at(i),
-                input_label=self.label_at(i),
-                deadline_s=self.deadline_s,
+            Request(*fields)
+            for fields in zip(
+                self.indices.tolist(),
+                self.arrival_s.tolist(),
+                self.sustained_time_s.tolist(),
+                _per_row(self.kernels, n),
+                _per_row(self.input_labels, n),
+                deadlines,
             )
-            for i in range(times.size)
         ]
 
 

@@ -48,7 +48,6 @@ Usage::
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -57,10 +56,11 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.thermal_backend import ThermalSpec
 from repro.traffic.arrivals import seed_stream
-from repro.traffic.device import ServedRequest, SprintDevice
+from repro.traffic.device import ServedColumns, SprintDevice
 from repro.traffic.engine import DISPATCH_POLICIES, ServingEngine
+from repro.traffic.fleet import DeviceStats, FleetResult, collect_device_stats, run_horizon
 from repro.traffic.governor import GovernorSpec, GovernorStats, SprintGovernor
-from repro.traffic.request import Request
+from repro.traffic.request import RequestBlock
 from repro.traffic.telemetry import EventTrace, RunTelemetry, TelemetrySpec
 from repro.traffic.topology import (
     CascadeGovernor,
@@ -191,53 +191,29 @@ class _RackJob:
     telemetry_spec: TelemetrySpec | None
     execution: str
     seed: np.random.SeedSequence
-    index: np.ndarray
-    arrival_s: np.ndarray
-    sustained_s: np.ndarray
-    deadline_s: np.ndarray
-    kernels: tuple[str, ...] | str
-    input_labels: tuple[str, ...] | str
+    #: The rack's requests, in arrival order.
+    requests: RequestBlock
 
 
 @dataclass(frozen=True)
 class _RackOutcome:
-    """What one rack shard sends back to the merge."""
+    """What one rack shard sends back to the merge: columns, no objects."""
 
     path: str
-    served: tuple[ServedRequest, ...]
-    rejected: tuple[Request, ...]
-    abandoned: tuple[Request, ...]
+    served: ServedColumns
+    rejected: RequestBlock
+    abandoned: RequestBlock
     served_count: int
     rejected_count: int
     abandoned_count: int
     final_time_s: float
-    device_rows: tuple[tuple, ...]
+    device_stats: tuple[DeviceStats, ...]
     overall: GovernorStats | None
     level_stats: dict[str, GovernorStats]
     telemetry: RunTelemetry | None
     leaked_grants: int
     fast_path: bool
     fast_path_reason: str | None
-
-
-def _materialize(job: _RackJob) -> list[Request]:
-    kern, lab = job.kernels, job.input_labels
-    uniform_kern = isinstance(kern, str)
-    uniform_lab = isinstance(lab, str)
-    out = []
-    for j in range(job.index.size):
-        deadline = float(job.deadline_s[j])
-        out.append(
-            Request(
-                index=int(job.index[j]),
-                arrival_s=float(job.arrival_s[j]),
-                sustained_time_s=float(job.sustained_s[j]),
-                kernel=kern if uniform_kern else kern[j],
-                input_label=lab if uniform_lab else lab[j],
-                deadline_s=deadline if math.isfinite(deadline) else None,
-            )
-        )
-    return out
 
 
 def _run_rack_job(job: _RackJob) -> _RackOutcome:
@@ -284,48 +260,28 @@ def _run_rack_job(job: _RackJob) -> _RackOutcome:
         execution=job.execution,
     )
     rng = np.random.default_rng(job.seed)
-    outcome = engine.run(_materialize(job), rng)
+    outcome = engine.run_blocks([job.requests], rng)
     governed = not cascade.is_unlimited
     level_stats = (
         cascade.finalize_levels(outcome.final_time_s) if governed else {}
     )
     telemetry = None
     if stream is not None or probe is not None or trace is not None:
-        horizon = [outcome.final_time_s]
-        if outcome.served:
-            horizon.append(max(s.completed_at_s for s in outcome.served))
-        if stream is not None and stream.request_count:
-            horizon.append(stream.last_completion_s)
         timeline = None
         if probe is not None:
-            timeline = replace(probe.finalize(max(horizon)), scope=job.path)
+            horizon = run_horizon(outcome.final_time_s, outcome.served_columns, stream)
+            timeline = replace(probe.finalize(horizon), scope=job.path)
         telemetry = RunTelemetry(stream=stream, timeline=timeline, trace=trace)
     return _RackOutcome(
         path=job.path,
-        served=outcome.served,
-        rejected=outcome.rejected,
-        abandoned=outcome.abandoned,
+        served=outcome.served_columns,
+        rejected=outcome.rejected_columns,
+        abandoned=outcome.abandoned_columns,
         served_count=outcome.served_count,
         rejected_count=outcome.rejected_count,
         abandoned_count=outcome.abandoned_count,
         final_time_s=outcome.final_time_s,
-        device_rows=tuple(
-            (
-                d.device_id,
-                d.label,
-                d.requests_served,
-                d.busy_seconds,
-                d.pacer.stored_heat_j,
-                d.sprints_served,
-                d.sprint_fullness_mean,
-                d.thermal_backend.temperature_c,
-                d.thermal_backend.melt_fraction,
-                d.peak_temperature_c,
-                d.peak_melt_fraction,
-                d.peak_stored_heat_j,
-            )
-            for d in devices
-        ),
+        device_stats=collect_device_stats(devices),
         overall=outcome.governor_stats,
         level_stats=level_stats,
         telemetry=telemetry,
@@ -349,7 +305,7 @@ def _rack_seeds(
 
 def run_sharded(
     sim,
-    requests: Sequence[Request],
+    requests: RequestBlock,
     seed: int | np.random.SeedSequence,
     workers: int = 1,
 ):
@@ -357,37 +313,22 @@ def run_sharded(
 
     ``sim`` is a :class:`~repro.traffic.fleet.FleetSimulator` constructed
     with a non-flat ``topology``.  The run plans rack dispatch and parent
-    budget slices upfront (module docstring), fans one job per rack over
-    :func:`~repro.traffic.sweep.pool_map`, and merges shard results into a
-    single :class:`~repro.traffic.fleet.FleetResult` whose
-    ``topology_stats`` carries the per-level grant ledgers.  Results are
-    bit-identical for any ``workers`` value.
+    budget slices upfront (module docstring) on the request columns, fans
+    one job per rack over :func:`~repro.traffic.sweep.pool_map`, and merges
+    the racks' result columns into a single
+    :class:`~repro.traffic.fleet.FleetResult` whose ``topology_stats``
+    carries the per-level grant ledgers.  Results are bit-identical for any
+    ``workers`` value.
     """
-    from repro.traffic.fleet import FleetResult
     from repro.traffic.sweep import pool_map
 
     topology: TopologySpec = sim.topology
-    ordered = sorted(requests, key=lambda r: (r.arrival_s, r.index))
-    n = len(ordered)
-    arrival = np.fromiter((r.arrival_s for r in ordered), dtype=float, count=n)
-    sustained = np.fromiter(
-        (r.sustained_time_s for r in ordered), dtype=float, count=n
+    arrival, index = requests.arrival_s, requests.indices
+    later = (arrival[1:] > arrival[:-1]) | (
+        (arrival[1:] == arrival[:-1]) & (index[1:] > index[:-1])
     )
-    index = np.fromiter((r.index for r in ordered), dtype=np.int64, count=n)
-    deadline = np.fromiter(
-        (
-            math.inf if r.deadline_s is None else r.deadline_s
-            for r in ordered
-        ),
-        dtype=float,
-        count=n,
-    )
-    kernels: tuple[str, ...] | str = tuple(r.kernel for r in ordered)
-    if len(set(kernels)) <= 1:
-        kernels = kernels[0] if kernels else ""
-    labels: tuple[str, ...] | str = tuple(r.input_label for r in ordered)
-    if len(set(labels)) <= 1:
-        labels = labels[0] if labels else ""
+    if not np.all(later):
+        requests = requests.take(np.lexsort((index, arrival)))
 
     racks = list(topology.iter_racks())
     sprint_capable = np.array(
@@ -396,9 +337,14 @@ def run_sharded(
             for _, _, _, rack in racks
         ]
     )
-    plan = plan_shards(topology, arrival, sustained, sprint_capable)
+    plan = plan_shards(
+        topology, requests.arrival_s, requests.sustained_time_s, sprint_capable
+    )
     row_slices, dc_slices = slice_schedules(topology, sim.config, plan.demand)
     seeds = _rack_seeds(seed, topology.n_racks)
+    # Each rack's rows, in arrival order: one stable sort by rack.
+    by_rack = np.argsort(plan.rack_of, kind="stable")
+    bounds = np.searchsorted(plan.rack_of[by_rack], np.arange(len(racks) + 1))
 
     jobs = []
     first_id = 0
@@ -406,7 +352,6 @@ def run_sharded(
         enabled, speedup, thermal = rack.device_knobs(
             sim.sprint_enabled, sim.sprint_speedup, sim.thermal_spec
         )
-        mask = plan.rack_of == r
         jobs.append(
             _RackJob(
                 config=sim.config,
@@ -428,16 +373,7 @@ def run_sharded(
                 telemetry_spec=sim.telemetry_spec,
                 execution=sim.execution,
                 seed=seeds[r],
-                index=index[mask],
-                arrival_s=arrival[mask],
-                sustained_s=sustained[mask],
-                deadline_s=deadline[mask],
-                kernels=kernels if isinstance(kernels, str) else tuple(
-                    k for k, keep in zip(kernels, mask) if keep
-                ),
-                input_labels=labels if isinstance(labels, str) else tuple(
-                    v for v, keep in zip(labels, mask) if keep
-                ),
+                requests=requests.take(by_rack[bounds[r] : bounds[r + 1]]),
             )
         )
         first_id += rack.n_devices
@@ -447,43 +383,19 @@ def run_sharded(
     if leaked:  # pragma: no cover - protocol violation guard
         raise RuntimeError(f"{leaked} sprint grants leaked across shard barriers")
 
-    from repro.traffic.fleet import DeviceStats
-
-    served = sorted(
-        (s for o in outcomes for s in o.served), key=lambda s: s.request.index
-    )
-    rejected = sorted(
-        (x for o in outcomes for x in o.rejected), key=lambda x: x.index
-    )
-    abandoned = sorted(
-        (x for o in outcomes for x in o.abandoned), key=lambda x: x.index
-    )
-    device_stats = tuple(
-        DeviceStats(
-            device_id=row[0],
-            device_label=row[1],
-            requests_served=row[2],
-            busy_seconds=row[3],
-            stored_heat_j=row[4],
-            sprints_served=row[5],
-            sprint_fullness_mean=row[6],
-            package_temperature_c=row[7],
-            melt_fraction=row[8],
-            peak_temperature_c=row[9],
-            peak_melt_fraction=row[10],
-            peak_stored_heat_j=row[11],
-        )
-        for o in outcomes
-        for row in o.device_rows
-    )
+    # One concatenate and one sort on request index per fate.
+    served = ServedColumns.concat([o.served for o in outcomes]).in_index_order()
+    rejected = RequestBlock.concat([o.rejected for o in outcomes]).in_index_order()
+    abandoned = RequestBlock.concat([o.abandoned for o in outcomes]).in_index_order()
+    device_stats = tuple(s for o in outcomes for s in o.device_stats)
     topology_stats = _merge_topology_stats(topology, outcomes)
     telemetry = _merge_telemetry(sim.telemetry_spec, outcomes)
     return FleetResult(
-        served=tuple(served),
         device_stats=device_stats,
         policy=f"{topology.dispatch}+{sim.policy_name}",
-        rejected=tuple(rejected),
-        abandoned=tuple(abandoned),
+        served_columns=served,
+        rejected_columns=rejected,
+        abandoned_columns=abandoned,
         governor_stats=None if topology_stats is None else topology_stats.overall,
         final_event_s=max((o.final_time_s for o in outcomes), default=0.0),
         telemetry=telemetry,

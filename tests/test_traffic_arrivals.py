@@ -10,17 +10,42 @@ from repro.traffic.arrivals import (
     PoissonArrivals,
     TraceArrivals,
 )
+from repro.core.config import SystemConfig
+from repro.traffic.device import SprintDevice
+from repro.traffic.engine import DISPATCH_POLICIES, ServingEngine
 from repro.traffic.request import (
     FixedService,
     GammaService,
     LognormalService,
     Request,
+    RequestBlock,
     SuiteService,
     generate_request_blocks,
     generate_requests,
 )
 
 NAN, INF = float("nan"), float("inf")
+
+#: Malformed request-block columns, each a change to a valid three-request
+#: block.  Every one breaks a rule of ``Request.__post_init__`` (or the
+#: block's own shape rules) and must fail at construction, on both engines.
+MALFORMED_BLOCK_COLUMNS = {
+    "nan-arrival-negative-demand": dict(
+        arrival_s=np.array([0.0, NAN, 3.0]), sustained_time_s=np.array([5.0, 5.0, -1.0])
+    ),
+    "negative-arrival": dict(arrival_s=np.array([-1.0, 1.0, 3.0])),
+    "inf-arrival": dict(arrival_s=np.array([0.0, 1.0, INF])),
+    "nan-demand": dict(sustained_time_s=np.array([5.0, NAN, 5.0])),
+    "zero-demand": dict(sustained_time_s=np.array([5.0, 0.0, 5.0])),
+    "inf-demand": dict(sustained_time_s=np.array([5.0, INF, 5.0])),
+    "nan-deadline": dict(deadline_s=NAN),
+    "zero-deadline": dict(deadline_s=0.0),
+    "negative-deadline-column": dict(deadline_s=np.array([1.0, -2.0, NAN])),
+    "float-index-column": dict(index=np.array([0.0, 1.0, 2.0])),
+    "short-index-column": dict(index=np.array([0, 1])),
+    "short-demand-column": dict(sustained_time_s=np.array([5.0, 5.0])),
+    "short-kernel-column": dict(kernels=("a", "b")),
+}
 
 
 def _kwargs_id(value):
@@ -359,3 +384,44 @@ class TestBlockDeterminism:
             list(generate_request_blocks(PoissonArrivals(1.0), FixedService(1.0), 0))
         with pytest.raises(ValueError):
             generate_request_blocks(PoissonArrivals(1.0), FixedService(1.0), 5, deadline_s=NAN)
+
+    @pytest.mark.parametrize("execution", ("exact", "batched"))
+    @pytest.mark.parametrize("columns", MALFORMED_BLOCK_COLUMNS, ids=str)
+    def test_malformed_request_block_rejected(self, columns, execution):
+        """Blocks validate once, at construction, with Request's rules."""
+        devices = [
+            SprintDevice(SystemConfig.paper_default(), device_id=i) for i in range(2)
+        ]
+        engine = ServingEngine(
+            devices,
+            DISPATCH_POLICIES["round_robin"],
+            "round_robin",
+            execution=execution,
+            keep_samples=False,
+        )
+        fields = dict(
+            start_index=0,
+            arrival_s=np.array([0.0, 1.0, 3.0]),
+            sustained_time_s=np.array([5.0, 5.0, 5.0]),
+        )
+        fields.update(MALFORMED_BLOCK_COLUMNS[columns])
+        with pytest.raises(ValueError):
+            engine.run_blocks([RequestBlock(**fields)], np.random.default_rng(0))
+        assert [d.busy_until_s for d in devices] == [0.0, 0.0]
+
+    def test_request_block_columns_round_trip(self):
+        """Index and per-request deadline columns survive take and concat."""
+        requests = [
+            Request(7, 0.5, 2.0, "sobel", "A", 3.0),
+            Request(2, 1.0, 1.0, "fixed", "", None),
+            Request(9, 1.0, 4.0, "sobel", "B", 0.5),
+        ]
+        block = RequestBlock.from_requests(requests)
+        assert block.to_requests() == requests
+        assert [block.request_at(i) for i in range(3)] == requests
+        assert block.take(np.array([2, 0])).to_requests() == [requests[2], requests[0]]
+        assert block.in_index_order().to_requests() == sorted(requests, key=lambda r: r.index)
+        halves = RequestBlock.concat([block.take(np.array([0])), block.take(np.array([1, 2]))])
+        assert halves == block
+        deadline_at = block.deadline_at()
+        assert deadline_at.tolist() == [r.deadline_at_s for r in requests]

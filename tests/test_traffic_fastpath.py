@@ -346,39 +346,77 @@ class TestGovernedCentralAcceptance:
 
 class TestShardedFastPath:
     """Sharded topology runs ride the vector core per rack and stay
-    bit-identical at any shard worker count."""
+    bit-identical to exact at any shard worker count — ungoverned, and under
+    a small version of the perfbench ``sharded_datacenter`` shape: binding
+    rack and row greedy budgets with ``least_loaded`` dispatch."""
 
-    TOPOLOGY = TopologySpec.uniform(2, 2, 4)
-
-    def run_once(self, config, engine, workers=1):
-        fleet = FleetSimulator(
-            config,
-            topology=self.TOPOLOGY,
-            policy="round_robin",
-            engine=engine,
-            shard_workers=workers,
-        )
-        return fleet.run_stream(
+    SHAPES = {
+        "ungoverned-round_robin": (
+            TopologySpec.uniform(2, 2, 4),
+            "round_robin",
             PoissonArrivals(1.2),
             GammaService(2.0, cv=1.0),
+        ),
+        "cascade-least_loaded": (
+            TopologySpec.uniform(
+                2,
+                3,
+                4,
+                rack_governor=GovernorSpec.greedy(1),
+                row_governor=GovernorSpec.greedy(2),
+                window_s=60.0,
+            ),
+            "least_loaded",
+            PoissonArrivals(4.0),
+            GammaService(4.0, cv=0.5),
+        ),
+    }
+
+    def run_once(self, config, engine, shape, workers=1, keep_samples=True):
+        topology, policy, arrivals, service = self.SHAPES[shape]
+        fleet = FleetSimulator(
+            config,
+            topology=topology,
+            policy=policy,
+            engine=engine,
+            shard_workers=workers,
+            keep_samples=keep_samples,
+        )
+        return fleet.run_stream(
+            arrivals,
+            service,
             400,
             request_seed=21,
             run_seed=21,
         )
 
-    def test_racks_ride_vector_core(self, config):
-        exact = self.run_once(config, "exact")
-        fast = self.run_once(config, "batched")
+    @staticmethod
+    def assert_same_run(exact, fast, shape):
+        assert_identical(exact, fast)
+        assert exact.topology_stats == fast.topology_stats
+        assert exact.summary() == fast.summary()
+        if shape.startswith("cascade"):
+            denied = fast.topology_stats.denied_by_level()
+            assert denied["rack"] > 0 and denied["row"] > 0
+
+    @pytest.mark.parametrize("keep_samples", (True, False), ids=("kept", "flat"))
+    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_racks_ride_vector_core(self, config, shape, workers, keep_samples):
+        exact = self.run_once(config, "exact", shape, 1, keep_samples)
+        fast = self.run_once(config, "batched", shape, workers, keep_samples)
         assert fast.fast_path
         assert fast.fast_path_reason is None
         assert not exact.fast_path
-        assert_identical(exact, fast)
+        self.assert_same_run(exact, fast, shape)
 
-    def test_invariant_under_shard_workers(self, config):
-        serial = self.run_once(config, "batched", workers=1)
-        fanned = self.run_once(config, "batched", workers=3)
+    @pytest.mark.parametrize("keep_samples", (True, False), ids=("kept", "flat"))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_invariant_under_shard_workers(self, config, shape, keep_samples):
+        serial = self.run_once(config, "batched", shape, 1, keep_samples)
+        fanned = self.run_once(config, "batched", shape, 3, keep_samples)
         assert fanned.fast_path
-        assert_identical(serial, fanned)
+        self.assert_same_run(serial, fanned, shape)
 
 
 class TestCoreRouting:

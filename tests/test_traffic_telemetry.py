@@ -300,9 +300,7 @@ class TestSketchSummary:
     def test_summary_without_stream_raises(self):
         from repro.traffic.fleet import FleetResult
 
-        orphan = FleetResult(
-            served=(), device_stats=(), policy="least_loaded", served_count=5
-        )
+        orphan = FleetResult(device_stats=(), policy="least_loaded", served_count=5)
         with pytest.raises(ValueError, match="keep_samples"):
             orphan.summary()
 
