@@ -67,6 +67,13 @@ NEVER_SLOWER_DEVICES = (1, 4, 64)
 NEVER_SLOWER_REQUESTS = 2_000
 NEVER_SLOWER_ROUNDS = 3
 
+#: The wide-fleet gate: as many devices as requests, so per-device fixed
+#: cost (building, resetting and packaging the fleet) outweighs the
+#: per-request work.
+WIDE_FLEET_DEVICES = 20_000
+WIDE_FLEET_ROUNDS = 3
+WIDE_FLEET_MIN_SPEEDUP = 5.0
+
 
 def test_bench_fleet_throughput(benchmark, bench_scale):
     """Requests simulated per wall-second on one 16-device fleet."""
@@ -424,6 +431,58 @@ def test_bench_batched_never_slower_than_exact(benchmark, bench_scale):
     assert not slower, (
         "batched must never be slower than exact; median per-round "
         f"exact/batched time ratios over {NEVER_SLOWER_ROUNDS} rounds: {slower}"
+    )
+
+
+def test_bench_wide_fleet_batched_vs_exact(benchmark):
+    """A 20k-device ``round_robin`` fleet serving one request per device.
+
+    Each run builds a fresh fleet, serves the stream with ``run_stream``
+    and ``keep_samples=False``, and summarises it, so the timed work is
+    what a user pays per device: construction, reset and result
+    packaging.  Both engines run in paired rounds in rotating order, with
+    a ``gc.collect()`` before each run and outside the timer, and the gate
+    holds the median per-round exact/batched time ratio at >= 5x.  The
+    fleet does not shrink with ``REPRO_BENCH_SCALE``: the gate is about
+    width, and the whole benchmark takes about two seconds.
+    """
+    config = SystemConfig.paper_default()
+    n = WIDE_FLEET_DEVICES
+
+    def run(engine: str):
+        fleet = FleetSimulator(
+            config, n, policy="round_robin", keep_samples=False, engine=engine
+        )
+        result = fleet.run_stream(
+            PoissonArrivals(1000.0), FixedService(5.0), n, request_seed=5, run_seed=5
+        )
+        return result.fast_path, result.summary()
+
+    def measure():
+        elapsed: dict[str, list[float]] = {"exact": [], "batched": []}
+        runs = {}
+        for round_index in range(WIDE_FLEET_ROUNDS):
+            order = ("exact", "batched") if round_index % 2 == 0 else ("batched", "exact")
+            for engine in order:
+                gc.collect()
+                started = time.perf_counter()
+                runs[engine] = run(engine)
+                elapsed[engine].append(time.perf_counter() - started)
+        return elapsed, runs
+
+    elapsed, runs = benchmark.pedantic(measure, rounds=1, iterations=1)
+    assert runs["batched"][0] and not runs["exact"][0]
+    assert runs["exact"][1] == runs["batched"][1]
+    assert runs["batched"][1].request_count == n
+    ratio = statistics.median(e / b for e, b in zip(elapsed["exact"], elapsed["batched"]))
+    benchmark.extra_info["devices"] = n
+    benchmark.extra_info["exact_rps_wide"] = n / statistics.median(elapsed["exact"])
+    benchmark.extra_info["batched_rps_wide"] = n / statistics.median(elapsed["batched"])
+    benchmark.extra_info["batched_speedup_vs_exact"] = ratio
+    assert ratio >= WIDE_FLEET_MIN_SPEEDUP, (
+        f"batched must run a {n}-device fleet at least {WIDE_FLEET_MIN_SPEEDUP:.0f}x "
+        f"faster than exact; median per-round exact/batched time ratio over "
+        f"{WIDE_FLEET_ROUNDS} rounds: {ratio:.2f}x"
     )
 
 

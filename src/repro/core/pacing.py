@@ -186,6 +186,11 @@ class SprintPacer:
         return self._clock_s
 
     @property
+    def last_arrival_s(self) -> float:
+        """Latest arrival handed to the pacer: the in-order guard's watermark."""
+        return self._last_arrival_s
+
+    @property
     def available_fraction(self) -> float:
         """Fraction of the sprint budget currently available."""
         if self.capacity_j == 0:

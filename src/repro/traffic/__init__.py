@@ -13,7 +13,8 @@ bursty, diurnal, or measured from a trace?  It is organised as a pipeline:
   pacing model, so consecutive requests share one thermal budget whose
   physics is a pluggable backend
   (:class:`~repro.core.thermal_backend.ThermalSpec`: linear
-  rule-of-thumb, RC cooling, or PCM enthalpy with melt telemetry),
+  rule-of-thumb, RC cooling, or PCM enthalpy with melt telemetry), and
+  the struct-of-arrays ``FleetState`` a linear fleet keeps its devices in,
 * :mod:`repro.traffic.engine` — the heap-based discrete-event core:
   arrival/device-free/deadline plus grant-release/breaker-reset events,
   immediate and central-queue dispatch modes, bounded queues with
@@ -79,7 +80,13 @@ from repro.traffic.arrivals import (
     TraceArrivals,
     seed_stream,
 )
-from repro.traffic.device import ServedColumns, ServedRequest, SprintDevice
+from repro.traffic.device import (
+    DeviceStatColumns,
+    FleetState,
+    ServedColumns,
+    ServedRequest,
+    SprintDevice,
+)
 from repro.traffic.experiments import (
     ComparisonResult,
     ExperimentResult,
@@ -190,6 +197,7 @@ __all__ = [
     "DISPATCH_MODES",
     "DISPATCH_POLICIES",
     "DeterministicArrivals",
+    "DeviceStatColumns",
     "DeviceStats",
     "DispatchFn",
     "DiurnalArrivals",
@@ -199,6 +207,7 @@ __all__ = [
     "ExperimentResult",
     "FixedService",
     "FleetResult",
+    "FleetState",
     "FleetSimulator",
     "FleetTimeline",
     "GOVERNOR_POLICIES",

@@ -1,4 +1,4 @@
-"""A sprint-capable device serving a stream of requests.
+"""Sprint-capable devices serving a stream of requests, as objects or columns.
 
 :class:`SprintDevice` wraps the thermal reservoir of
 :class:`repro.core.pacing.SprintPacer` behind a serving interface: each
@@ -12,11 +12,17 @@ per-request PCM enthalpy, whose temperature/melt telemetry rides on every
 :class:`ServedRequest`.  The device also exposes the two projections a
 dispatcher needs without perturbing state: when it will next be free, and
 how much sprint budget a request arriving at a given time would find.
-A run reports its served requests as :class:`ServedColumns` — one array per
-:class:`ServedRequest` field — and builds the objects only for a caller
-that reads them.
 
-Two entry points hand the device work, matching the two dispatch modes of
+Under the linear reservoir a device carries only a few numbers from one
+request to the next — when it next frees and how much heat it stores — so
+a linear fleet keeps its devices as columns: :class:`FleetState`, one
+array per quantity, which the batched cores (:mod:`repro.traffic.fastpath`)
+read and write in place.  Results are columns too: :class:`ServedColumns`
+(one array per :class:`ServedRequest` field) and :class:`DeviceStatColumns`
+(one per :class:`DeviceStats` field), with the objects built only for a
+caller that reads them.
+
+Two entry points hand a device work, matching the two dispatch modes of
 :mod:`repro.traffic.engine`:
 
 * :meth:`SprintDevice.serve` — immediate dispatch: the request joins the
@@ -41,14 +47,16 @@ finishes it in half a second:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.core.config import SystemConfig
 from repro.core.pacing import SprintPacer, TaskOutcome
-from repro.core.thermal_backend import ThermalBackend, ThermalSpec
+from repro.core.thermal_backend import LinearReservoir, ThermalBackend, ThermalSpec
 from repro.traffic.request import Request, RequestBlock
 
 
@@ -203,6 +211,11 @@ _OUTCOME_FIELDS = tuple(f.name for f in dataclasses.fields(ServedColumns))[1:]
 class SprintDevice:
     """One sprint-enabled machine in a fleet.
 
+    The object form of a device, and the only one the exact event loop and
+    the physics backends (``rc``, ``pcm``) serve on.  A linear fleet keeps
+    its devices as a :class:`FleetState` and builds these objects only for
+    a caller that reads them (:meth:`FleetState.sync_devices`).
+
     Parameters
     ----------
     config:
@@ -353,43 +366,6 @@ class SprintDevice:
             melt_fraction=outcome.melt_fraction,
         )
 
-    def absorb_batch(
-        self,
-        *,
-        served: int,
-        busy_seconds: float,
-        sprints: int,
-        fullness_total: float,
-        clock_s: float,
-        last_arrival_s: float,
-        stored_heat_j: float,
-        deposited_j: float,
-        drained_j: float,
-        peak_stored_heat_j: float,
-        peak_temperature_c: float,
-    ) -> None:
-        """Fold a vectorized run's aggregates into this device's state.
-
-        The batched engine path (:mod:`repro.traffic.fastpath`) executes a
-        device's whole request chain in numpy with the exact scalar float
-        ops, then lands counters, pacer clock, reservoir heat, and thermal
-        peaks here in one step — bit-identical to having called
-        :meth:`serve` per request.  Only meaningful for runs on the linear
-        backend (the vector form exists only there); melt state never moves.
-        """
-        if served < 0 or sprints < 0 or sprints > served:
-            raise ValueError("batch counters are inconsistent")
-        self.requests_served += served
-        self.busy_seconds += busy_seconds
-        self.sprints_served += sprints
-        self._sprint_fullness_total += fullness_total
-        self.pacer.advance_to(clock_s, last_arrival_s)
-        self.pacer.backend.absorb_batch(stored_heat_j, deposited_j, drained_j)
-        if peak_temperature_c > self.peak_temperature_c:
-            self.peak_temperature_c = peak_temperature_c
-        if peak_stored_heat_j > self.peak_stored_heat_j:
-            self.peak_stored_heat_j = peak_stored_heat_j
-
     def reset(self) -> None:
         """Cool the package and forget all serving history."""
         self.pacer.reset()
@@ -400,3 +376,383 @@ class SprintDevice:
         self.peak_temperature_c = 0.0
         self.peak_melt_fraction = 0.0
         self.peak_stored_heat_j = 0.0
+
+
+@dataclass(frozen=True)
+class DeviceStats:
+    """Per-device accounting at the end of a run."""
+
+    device_id: int
+    requests_served: int
+    busy_seconds: float
+    stored_heat_j: float
+    #: Stable hierarchical identity — ``row0/rack2/dev5`` in a topology
+    #: fleet, ``dev{device_id}`` in a flat one ("" on results produced
+    #: before labels existed).  ``device_id`` stays the flat integer id.
+    device_label: str = ""
+    #: Requests that sprinted at all on this device (partial sprints included).
+    sprints_served: int = 0
+    #: Mean realised sprint fullness on this device — low values flag a
+    #: thermal hotspot that is nominally sprinting but mostly sustained.
+    sprint_fullness_mean: float = 0.0
+    #: Package temperature the device's thermal backend reported at the end
+    #: of the run.
+    package_temperature_c: float = 0.0
+    #: Liquid PCM fraction at the end of the run (0 unless the fleet paces
+    #: with the ``pcm`` backend).
+    melt_fraction: float = 0.0
+    #: Running peaks over the whole run (maintained in O(1) on the device,
+    #: so hotspot identification survives ``keep_samples=False`` runs).
+    peak_temperature_c: float = 0.0
+    peak_melt_fraction: float = 0.0
+    peak_stored_heat_j: float = 0.0
+
+
+def _labels(label: tuple[str, ...] | str, n: int) -> Sequence[str]:
+    """Per-device labels: the tuple itself, or ``f"{prefix}dev{i}"`` from a prefix."""
+    return label if isinstance(label, tuple) else [f"{label}dev{i}" for i in range(n)]
+
+
+#: The DeviceStats fields, in order; a DeviceStatColumns holds one column each.
+_STAT_FIELDS = tuple(f.name for f in dataclasses.fields(DeviceStats))
+
+#: Integer DeviceStats fields (every other numeric field is a float).
+_STAT_INTS = ("device_id", "requests_served", "sprints_served")
+
+#: Where a SprintDevice keeps the DeviceStats fields it does not hold itself.
+_STAT_PATHS = {
+    "stored_heat_j": "pacer.stored_heat_j",
+    "device_label": "label",
+    "package_temperature_c": "pacer.backend.temperature_c",
+    "melt_fraction": "pacer.backend.melt_fraction",
+}
+
+
+@dataclass(frozen=True, eq=False)
+class DeviceStatColumns:
+    """Per-device accounting as columns, one row per device in fleet order.
+
+    One array per :class:`DeviceStats` field of the same name, except
+    ``device_label``: a tuple with one label per device, or a prefix from
+    which device ``i``'s label is ``f"{prefix}dev{i}"``.
+    :meth:`to_objects` builds the equal :class:`DeviceStats` tuple, which
+    is what ``FleetResult.device_stats`` reads on first access.
+
+    >>> from repro.core.config import SystemConfig
+    >>> from repro.traffic.device import DeviceStatColumns, SprintDevice
+    >>> from repro.traffic.request import Request
+    >>> devices = [SprintDevice(SystemConfig.paper_default(), device_id=i) for i in range(2)]
+    >>> _ = devices[1].serve(Request(0, 0.0, 5.0))
+    >>> columns = DeviceStatColumns.of(devices)
+    >>> columns.requests_served.tolist(), columns.to_objects()[1].device_label
+    ([0, 1], 'dev1')
+    """
+
+    device_id: np.ndarray
+    requests_served: np.ndarray
+    busy_seconds: np.ndarray
+    stored_heat_j: np.ndarray
+    device_label: tuple[str, ...] | str
+    sprints_served: np.ndarray
+    sprint_fullness_mean: np.ndarray
+    package_temperature_c: np.ndarray
+    melt_fraction: np.ndarray
+    peak_temperature_c: np.ndarray
+    peak_melt_fraction: np.ndarray
+    peak_stored_heat_j: np.ndarray
+
+    def __len__(self) -> int:
+        return self.device_id.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeviceStatColumns):
+            return NotImplemented
+        return self.to_objects() == other.to_objects()
+
+    @classmethod
+    def empty(cls) -> "DeviceStatColumns":
+        """No devices."""
+        return cls.of(())
+
+    @classmethod
+    def of(cls, fleet: "FleetState | Sequence[SprintDevice]") -> "DeviceStatColumns":
+        """A snapshot of each device's accounting as it stands, in fleet order."""
+        if isinstance(fleet, FleetState):
+            return fleet.stat_columns()
+        n = len(fleet)
+
+        def column(name: str):
+            read = map(attrgetter(_STAT_PATHS.get(name, name)), fleet)
+            if name == "device_label":
+                return tuple(read)
+            return np.fromiter(read, np.int64 if name in _STAT_INTS else float, n)
+
+        return cls(*map(column, _STAT_FIELDS))
+
+    @classmethod
+    def concat(cls, parts: Sequence["DeviceStatColumns"]) -> "DeviceStatColumns":
+        """One table holding ``parts``' rows in order."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.empty()
+
+        def column(name: str):
+            if name == "device_label":
+                return tuple(label for p in parts for label in p.labels())
+            return np.concatenate([getattr(p, name) for p in parts])
+
+        return cls(*map(column, _STAT_FIELDS))
+
+    def labels(self) -> Sequence[str]:
+        """Every device's label, in fleet order."""
+        return _labels(self.device_label, len(self))
+
+    def to_objects(self) -> tuple[DeviceStats, ...]:
+        """The equal :class:`DeviceStats` tuple, device by device."""
+        columns = [
+            self.labels() if name == "device_label" else getattr(self, name).tolist()
+            for name in _STAT_FIELDS
+        ]
+        return tuple(DeviceStats(*row) for row in zip(*columns))
+
+
+#: Each run-state column of a FleetState: where a SprintDevice keeps that
+#: quantity, and the column's dtype.
+_RUN_STATE = {
+    "clock": ("pacer.busy_until_s", float),
+    "stored": ("pacer.stored_heat_j", float),
+    "served": ("requests_served", np.int64),
+    "sprints": ("sprints_served", np.int64),
+    "busy_seconds": ("busy_seconds", float),
+    "fullness_total": ("_sprint_fullness_total", float),
+    "deposited": ("pacer.backend.total_deposited_j", float),
+    "drained": ("pacer.backend.total_drained_j", float),
+    "peak_stored": ("peak_stored_heat_j", float),
+    "last_arrival": ("pacer.last_arrival_s", float),
+}
+
+
+def _pacer_constants(pacer: SprintPacer) -> dict[str, float | bool]:
+    """The per-device constants of a FleetState, as one pacer defines them."""
+    backend = pacer.backend
+    return {
+        "drain_w": backend.drain_power_w,
+        "excess_w": pacer.config.sprint_power_w - pacer.drain_power_w,
+        "speedup": pacer.sprint_speedup,
+        "capacity": backend.capacity_j,
+        "ambient": backend.limits.ambient_c,
+        "headroom_c": backend.limits.headroom_c,
+        "refuse": pacer.refuse_partial_sprints,
+    }
+
+
+def _dtype(value: float | bool) -> type:
+    return bool if isinstance(value, bool) else float
+
+
+class FleetState:
+    """The device state of a linear-backend fleet, one array per quantity.
+
+    Position ``i`` of every column is device ``i``.  The constants come
+    from one template :class:`~repro.core.pacing.SprintPacer`:
+    ``device_ids``, ``drain_w``, ``excess_w`` (sprint power above the
+    drain), ``speedup``, ``capacity``, ``ambient``, ``headroom_c``,
+    ``allow`` (sprint-enabled) and ``refuse`` (refuse partial sprints).
+    The run state is what a :class:`SprintDevice` carries, history
+    included: ``clock`` (busy-until), ``stored`` heat, ``served``,
+    ``sprints``, ``busy_seconds``, ``fullness_total``, the reservoir ledger
+    (``deposited``, ``drained``), ``peak_stored`` and ``last_arrival``.
+
+    The batched cores read and write the arrays in place.  Device objects
+    exist only for a caller that asks: :meth:`sync_devices` builds them
+    once and writes the arrays into them after a run, and :meth:`load`
+    gathers them back after the exact loop served on them.
+
+    Usage — a two-device fleet as columns; one request moves them in place:
+
+    >>> import numpy as np
+    >>> from repro.core.config import SystemConfig
+    >>> from repro.core.pacing import SprintPacer
+    >>> from repro.traffic.device import FleetState
+    >>> from repro.traffic.engine import ServingEngine
+    >>> from repro.traffic.request import Request
+    >>> state = FleetState(SprintPacer(SystemConfig.paper_default()), 2, label_prefix="rack0/")
+    >>> engine = ServingEngine(state, execution="batched")
+    >>> _ = engine.run([Request(0, 0.0, 5.0)], np.random.default_rng(0))
+    >>> state.served.tolist(), state.labels[1]
+    ([1, 0], 'rack0/dev1')
+    >>> device = state.sync_devices()[0]
+    >>> device.requests_served, round(device.busy_until_s, 2)
+    (1, 0.5)
+    """
+
+    def __init__(
+        self,
+        template: SprintPacer,
+        n_devices: int,
+        *,
+        sprint_enabled: bool = True,
+        first_id: int = 0,
+        label_prefix: str = "",
+    ) -> None:
+        if type(template.backend) is not LinearReservoir:
+            raise TypeError(
+                f"a FleetState holds linear devices, not {template.backend.name!r} ones"
+            )
+        #: The pacer every device copies (None when gathered from objects).
+        self.template: SprintPacer | None = template
+        self.device_ids = np.arange(first_id, first_id + n_devices, dtype=np.int64)
+        for name, value in _pacer_constants(template).items():
+            setattr(self, name, np.full(n_devices, value, dtype=_dtype(value)))
+        self.allow = np.full(n_devices, bool(sprint_enabled))
+        #: Device labels: a prefix (device ``i`` is ``f"{prefix}dev{i}"``)
+        #: or one per device.
+        self.device_label: tuple[str, ...] | str = label_prefix
+        for name, (_, dtype) in _RUN_STATE.items():
+            setattr(self, name, np.zeros(n_devices, dtype))
+        self._devices: list[SprintDevice] | None = None
+        self._synced = False
+        #: Nothing served since construction or the last reset.
+        self._pristine = True
+
+    @classmethod
+    def from_devices(cls, devices: Sequence[SprintDevice]) -> "FleetState":
+        """The columns of a list of linear devices, serving history included.
+
+        :meth:`sync_devices` writes a run on the state back into the same
+        objects.
+        """
+        state = cls.__new__(cls)  # gathered from objects, not from a template
+        n = len(devices)
+        state.template = None
+        state.device_ids = np.fromiter((d.device_id for d in devices), np.int64, n)
+        constants = [_pacer_constants(d.pacer) for d in devices]
+        for name, value in constants[0].items():
+            setattr(state, name, np.fromiter((c[name] for c in constants), _dtype(value), n))
+        state.allow = np.fromiter((d.sprint_enabled for d in devices), bool, n)
+        state.device_label = tuple(d.label for d in devices)
+        state._devices = list(devices)
+        state._pristine = False
+        state.load(devices)
+        return state
+
+    def __len__(self) -> int:
+        return self.device_ids.size
+
+    @functools.cached_property
+    def labels(self) -> Sequence[str]:
+        """Every device's label, in position order."""
+        return _labels(self.device_label, len(self))
+
+    def reset(self) -> None:
+        """Cool every package and forget all serving history."""
+        for name in _RUN_STATE:
+            getattr(self, name).fill(0)
+        self._synced = False
+        self._pristine = True
+
+    def changed(self) -> None:
+        """Note that a run moved the arrays past the device objects."""
+        self._synced = False
+        self._pristine = False
+
+    def load(self, devices: Sequence[SprintDevice]) -> None:
+        """Gather the run state of ``devices`` (one per position) into the arrays."""
+        for name, (path, dtype) in _RUN_STATE.items():
+            setattr(self, name, np.fromiter(map(attrgetter(path), devices), dtype, len(self)))
+        self._synced = True
+        self._pristine = False
+
+    def sync_devices(self) -> list[SprintDevice]:
+        """The fleet as :class:`SprintDevice` objects carrying this state.
+
+        Built on the first call; every call returns the same list, and
+        writes the arrays into it when a run or :meth:`reset` has moved
+        them since the last call.
+        """
+        if self._devices is None:
+            template = self.template
+            backend = template.backend
+            self._devices = [
+                SprintDevice(
+                    template.config,
+                    device_id=device_id,
+                    sprint_speedup=template.sprint_speedup,
+                    sprint_enabled=allow,
+                    refuse_partial_sprints=template.refuse_partial_sprints,
+                    thermal=LinearReservoir(
+                        backend.capacity_j, backend.drain_power_w, backend.limits
+                    ),
+                    label=label,
+                )
+                for device_id, allow, label in zip(
+                    self.device_ids.tolist(), self.allow.tolist(), self.labels
+                )
+            ]
+            # New objects are cold, as a reset state is.
+            self._synced = self._pristine
+        if not self._synced:
+            self._store(self._devices)
+            self._synced = True
+        return self._devices
+
+    def _store(self, devices: list[SprintDevice]) -> None:
+        """Write the run state into ``devices``, exactly as serving left it."""
+        if self._pristine:
+            for device in devices:
+                device.reset()
+            return
+        rows = zip(
+            devices,
+            *(getattr(self, name).tolist() for name in _RUN_STATE),
+            self._peak_temperature().tolist(),
+        )
+        # Unpacked in _RUN_STATE order, then the derived peak temperature.
+        for device, clock, stored, served, sprints, busy, fullness, *rest in rows:
+            deposited, drained, peak_stored, last_arrival, peak_temperature = rest
+            device.reset()
+            device.requests_served = served
+            device.sprints_served = sprints
+            device.busy_seconds = busy
+            device._sprint_fullness_total = fullness
+            device.peak_stored_heat_j = peak_stored
+            device.peak_temperature_c = peak_temperature
+            device.pacer.advance_to(clock, last_arrival)
+            device.pacer.backend.absorb_batch(stored, deposited, drained)
+
+    def _temperature(self, heat: np.ndarray) -> np.ndarray:
+        """Package temperature at ``heat`` stored: the linear backend's fill map."""
+        capacity = self.capacity
+        fill = np.divide(heat, capacity, out=np.zeros(len(self)), where=capacity > 0.0)
+        return self.ambient + fill * self.headroom_c
+
+    def _peak_temperature(self) -> np.ndarray:
+        """Hottest temperature each device has reported (0 before it served).
+
+        The fill map is monotone, so the hottest instant is the one with
+        the most stored heat.
+        """
+        peak = self._temperature(self.peak_stored)
+        return np.where((self.served > 0) & (peak > 0.0), peak, 0.0)
+
+    def stat_columns(self) -> DeviceStatColumns:
+        """A snapshot of each device's accounting, bit-identical to the objects'."""
+        n = len(self)
+        served = self.served.copy()
+        return DeviceStatColumns(
+            device_id=self.device_ids,
+            requests_served=served,
+            busy_seconds=self.busy_seconds.copy(),
+            stored_heat_j=self.stored.copy(),
+            device_label=self.device_label,
+            sprints_served=self.sprints.copy(),
+            sprint_fullness_mean=np.divide(
+                self.fullness_total, served, out=np.zeros(n), where=served > 0
+            ),
+            package_temperature_c=self._temperature(self.stored),
+            melt_fraction=np.zeros(n),
+            peak_temperature_c=self._peak_temperature(),
+            peak_melt_fraction=np.zeros(n),
+            peak_stored_heat_j=self.peak_stored.copy(),
+        )

@@ -91,8 +91,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.traffic.device import ServedColumns, ServedRequest, SprintDevice
+from repro.traffic.device import FleetState, ServedColumns, ServedRequest, SprintDevice
 from repro.traffic.governor import GovernorStats, SprintGovernor
+from repro.traffic.metrics import validate_count
 from repro.traffic.request import Request, RequestBlock
 from repro.traffic.telemetry import EventTrace, TimelineProbe, TrafficTelemetry
 
@@ -455,9 +456,15 @@ class ServingEngine:
     Parameters
     ----------
     devices:
-        The fleet.  Device positions (list indices) are the engine's device
-        identity; callers conventionally construct devices whose
-        ``device_id`` equals their position.
+        The fleet: a list of :class:`~repro.traffic.device.SprintDevice`
+        objects, or a linear fleet's
+        :class:`~repro.traffic.device.FleetState`.  Device positions are
+        the engine's device identity; callers conventionally give devices
+        whose ``device_id`` equals their position.  The batched cores run
+        on a state in place and gather a device list into one for the run,
+        writing it back after; the exact loop serves on objects, built from
+        a state on first use (:meth:`FleetState.sync_devices`) and gathered
+        back into it after every run.
     dispatch, policy_name:
         The immediate-mode dispatch policy and its name.
     indexed:
@@ -521,7 +528,7 @@ class ServingEngine:
 
     def __init__(
         self,
-        devices: Sequence[SprintDevice],
+        devices: Sequence[SprintDevice] | FleetState,
         dispatch: DispatchFn = _least_loaded,
         policy_name: str = "least_loaded",
         mode: str = "immediate",
@@ -546,14 +553,16 @@ class ServingEngine:
                 f"unknown queue discipline {discipline!r}; "
                 f"available: {QUEUE_DISCIPLINES}"
             )
-        if queue_bound is not None and queue_bound < 0:
-            raise ValueError("queue bound must be non-negative (or None)")
+        if queue_bound is not None:
+            validate_count(queue_bound, "queue bound", minimum=0)
         if execution not in EXECUTION_MODES:
             raise ValueError(
                 f"unknown execution mode {execution!r}; "
                 f"available: {EXECUTION_MODES}"
             )
-        self.devices = devices
+        #: The fleet's columns (None when handed device objects).
+        self.state = devices if isinstance(devices, FleetState) else None
+        self._fleet = devices
         self.dispatch = dispatch
         self.policy_name = policy_name
         self.mode = mode
@@ -568,6 +577,13 @@ class ServingEngine:
         self.execution = execution
         #: Whether the most recent run() / run_blocks() took the vector core.
         self.last_run_fast_path = False
+
+    @property
+    def devices(self) -> Sequence[SprintDevice]:
+        """The fleet as device objects (built from ``state`` on first read)."""
+        if self.state is not None:
+            return self.state.sync_devices()
+        return self._fleet
 
     @property
     def fast_path_reason(self) -> str | None:
@@ -606,6 +622,7 @@ class ServingEngine:
             from repro.traffic.fastpath import run_batched
 
             return run_batched(self, [RequestBlock.from_requests(ordered)], rng)
+        devices = self.devices
         seq = itertools.count()
         # Entries are (time, kind, seq, payload); seq is unique, so payloads
         # are never compared.  Arrivals are fed into the heap one at a time
@@ -635,7 +652,7 @@ class ServingEngine:
         else:
             # Keyed by device_id, not list position: sharded rack engines
             # carry fleet-global ids on rack-local device lists.
-            label_of = {d.device_id: d.label for d in self.devices}
+            label_of = {d.device_id: d.label for d in devices}
 
             def emit_served(outcome: ServedRequest) -> None:
                 nonlocal served_count
@@ -681,7 +698,7 @@ class ServingEngine:
                 trace.add(now_s, "abandon", request_index=request.index)
 
         immediate = self.mode == "immediate"
-        index = LeastLoadedIndex(self.devices) if immediate and self.indexed else None
+        index = LeastLoadedIndex(devices) if immediate and self.indexed else None
         cursor = 0  # immediate-mode dispatch count, for round_robin
 
         # Governed sprinting: an unlimited governor (or none) takes the
@@ -701,7 +718,7 @@ class ServingEngine:
         waiting: dict[int, Request] = {}
         idle: list[tuple[int, int]] = []
         if not immediate:
-            for pos, device in enumerate(self.devices):
+            for pos, device in enumerate(devices):
                 events.append(
                     (device.busy_until_s, _DEVICE_FREE, next(seq), pos)
                 )
@@ -779,7 +796,7 @@ class ServingEngine:
             return outcome
 
         def start(request: Request, pos: int, now_s: float) -> None:
-            device = self.devices[pos]
+            device = devices[pos]
             if trace is not None:
                 trace.add(
                     now_s,
@@ -825,9 +842,9 @@ class ServingEngine:
                     if index is not None:
                         pos = index.pick(request.arrival_s)
                     else:
-                        pos = self.dispatch(self.devices, request, rng, cursor)
+                        pos = self.dispatch(devices, request, rng, cursor)
                     cursor += 1
-                    device = self.devices[pos]
+                    device = devices[pos]
                     if trace is not None:
                         trace.add(
                             now_s,
@@ -873,9 +890,7 @@ class ServingEngine:
                         probe.on_queue_depth(now_s, len(waiting))
                     start(request, pos, now_s)
                 else:
-                    heapq.heappush(
-                        idle, (self.devices[pos].requests_served, pos)
-                    )
+                    heapq.heappush(idle, (devices[pos].requests_served, pos))
 
             elif kind == _GRANT_RELEASE:
                 governor.release(now_s)
@@ -897,6 +912,8 @@ class ServingEngine:
 
         if keep and not observing:
             served_count = len(served)
+        if self.state is not None:
+            self.state.load(devices)
         return EngineResult.from_objects(
             served,
             rejected,

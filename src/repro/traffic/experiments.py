@@ -101,6 +101,7 @@ from repro.traffic.metrics import (
     aggregate_summaries,
     mean_ci,
     paired_delta,
+    validate_count,
 )
 from repro.traffic.request import FixedService, Request, ServiceModel, generate_requests
 from repro.traffic.sweep import PAIRING_MODES, pool_map
@@ -198,10 +199,10 @@ class Scenario:
                     "a topology scenario takes its budgets from the "
                     "topology spec; leave governor at 'unlimited'"
                 )
-        if self.shard_workers < 1:
-            raise ValueError("shard worker count must be at least 1")
-        if self.n_devices < 1:
-            raise ValueError("a scenario needs at least one device")
+        validate_count(self.shard_workers, "shard worker count")
+        validate_count(self.n_devices, "fleet size")
+        if self.queue_bound is not None:
+            validate_count(self.queue_bound, "queue bound", minimum=0)
         if not 1.0 <= self.sprint_speedup < math.inf:
             raise ValueError("sprint speedup must be at least 1x and finite")
         if self.slo_s is not None and not self.slo_s > 0:

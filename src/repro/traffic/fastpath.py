@@ -48,11 +48,15 @@ than approximate.  The :func:`unsupported_reason` predicate is the single
 source of truth for that envelope, and ``ServingEngine.last_run_fast_path``
 reports which path a run actually took.
 
-Both cores consume :class:`~repro.traffic.request.RequestBlock` columns
-and emit :class:`~repro.traffic.device.ServedColumns`, so a batched run
-builds no per-request object unless a caller reads one, and the streaming
-entry point (``ServingEngine.run_blocks`` under ``keep_samples=False``)
-holds one chunk in memory regardless of horizon.
+Both cores consume :class:`~repro.traffic.request.RequestBlock` columns,
+read and write the fleet's :class:`~repro.traffic.device.FleetState` in
+place, and emit :class:`~repro.traffic.device.ServedColumns`, so a batched
+run builds no per-device or per-request object unless a caller reads one,
+and the streaming entry point (``ServingEngine.run_blocks`` under
+``keep_samples=False``) holds one chunk in memory regardless of horizon.
+An engine handed a list of :class:`~repro.traffic.device.SprintDevice`
+objects instead has them gathered into a state for the run and written
+back after it.
 
 Usage — :func:`unsupported_reason` names exactly what keeps a
 configuration on the exact loop:
@@ -89,12 +93,12 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.core.thermal_backend import LinearReservoir
-from repro.traffic.device import ServedColumns, ServedRequest, SprintDevice
+from repro.traffic.device import FleetState, ServedColumns, ServedRequest
 from repro.traffic.request import RequestBlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -130,7 +134,8 @@ def unsupported_reason(engine: "ServingEngine") -> str | None:
     state-dependent policies on its own state mirrors, observers are fed
     from columnar buffers, and grant policies that declare
     ``supports_batched_replay`` are replayed through the real governor
-    object.
+    object.  A :class:`~repro.traffic.device.FleetState` is linear by
+    construction, so only a device list is scanned for its backends.
     """
     from repro.traffic.engine import DISPATCH_POLICIES
 
@@ -152,90 +157,21 @@ def unsupported_reason(engine: "ServingEngine") -> str | None:
             return (
                 f"governor {governor.name!r} has no exact batched grant replay"
             )
-    for device in engine.devices:
-        if type(device.thermal_backend) is not LinearReservoir:
-            return (
-                f"thermal backend {device.thermal_backend.name!r} has no "
-                "closed vector form"
-            )
+    if engine.state is None:
+        for device in engine.devices:
+            if type(device.thermal_backend) is not LinearReservoir:
+                return (
+                    f"thermal backend {device.thermal_backend.name!r} has no "
+                    "closed vector form"
+                )
     return None
 
 
-class _FleetState:
-    """Columnar mirror of per-device pacer/reservoir state for one run."""
-
-    def __init__(self, devices: Sequence[SprintDevice]) -> None:
-        self.devices = devices
-        n = len(devices)
-        pacers = [d.pacer for d in devices]
-        backends = [p.backend for p in pacers]
-        self.device_ids = np.array([d.device_id for d in devices], dtype=np.int64)
-        self.drain_w = np.array([b.drain_power_w for b in backends])
-        self.excess_w = np.array(
-            [p.config.sprint_power_w - p.drain_power_w for p in pacers]
-        )
-        self.speedup = np.array([p.sprint_speedup for p in pacers])
-        self.capacity = np.array([b.capacity_j for b in backends])
-        self.ambient = np.array([b.limits.ambient_c for b in backends])
-        self.headroom_c = np.array([b.limits.headroom_c for b in backends])
-        self.allow = np.array([d.sprint_enabled for d in devices], dtype=bool)
-        self.refuse = np.array(
-            [p.refuse_partial_sprints for p in pacers], dtype=bool
-        )
-        # Mutable state, synced back through absorb_batch() at the end.
-        self.clock = np.array([p.busy_until_s for p in pacers])
-        self.stored = np.array([b.stored_heat_j for b in backends])
-        self.served = np.zeros(n, dtype=np.int64)
-        self.sprints = np.zeros(n, dtype=np.int64)
-        self.busy_seconds = np.zeros(n)
-        self.fullness_total = np.zeros(n)
-        self.deposited = np.zeros(n)
-        self.drained = np.zeros(n)
-        self.peak_stored = np.full(n, -np.inf)
-        self.last_arrival = np.full(n, -np.inf)
-
-    def sync_back(self) -> None:
-        """Fold the run's aggregates into the live device objects.
-
-        Counters and heat land exactly where the scalar path would have left
-        them; per-device peaks use the linear backend's monotone
-        heat-to-temperature map, so the run's hottest instant is the request
-        with the most stored heat.
-        """
-        for pos, device in enumerate(self.devices):
-            count = int(self.served[pos])
-            if count == 0:
-                continue
-            peak_stored = float(self.peak_stored[pos])
-            capacity = self.capacity[pos]
-            if capacity > 0.0:
-                peak_temp = float(
-                    self.ambient[pos]
-                    + (peak_stored / capacity) * self.headroom_c[pos]
-                )
-            else:
-                peak_temp = float(self.ambient[pos])
-            device.absorb_batch(
-                served=count,
-                busy_seconds=float(self.busy_seconds[pos]),
-                sprints=int(self.sprints[pos]),
-                fullness_total=float(self.fullness_total[pos]),
-                clock_s=float(self.clock[pos]),
-                last_arrival_s=float(self.last_arrival[pos]),
-                stored_heat_j=float(self.stored[pos]),
-                deposited_j=float(self.deposited[pos]),
-                drained_j=float(self.drained[pos]),
-                peak_stored_heat_j=peak_stored,
-                peak_temperature_c=peak_temp,
-            )
-
-
 def _assignments(
-    engine: "ServingEngine", count: int, cursor: int, rng: np.random.Generator
+    policy: str, n_devices: int, count: int, cursor: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Device position of each request in a chunk, matching the scalar policy."""
-    n_devices = len(engine.devices)
-    if engine.policy_name == "round_robin":
+    if policy == "round_robin":
         return (cursor + np.arange(count, dtype=np.int64)) % n_devices
     # random: one block draw consumes the bit stream exactly like the
     # scalar loop's per-request rng.integers(n) calls.
@@ -243,7 +179,7 @@ def _assignments(
 
 
 def _advance_chunk(
-    state: _FleetState,
+    state: FleetState,
     assign: np.ndarray,
     times: np.ndarray,
     demands: np.ndarray,
@@ -258,7 +194,7 @@ def _advance_chunk(
     """
     count = times.size
     order = np.argsort(assign, kind="stable")
-    counts = np.bincount(assign, minlength=len(state.devices))
+    counts = np.bincount(assign, minlength=len(state))
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
     if collect:
@@ -359,6 +295,7 @@ def _check_chunk_order(
 
 def _run_immediate_core(
     engine: "ServingEngine",
+    state: FleetState,
     stream: Iterable[RequestBlock],
     rng: np.random.Generator,
 ) -> "EngineResult":
@@ -376,13 +313,11 @@ def _run_immediate_core(
     """
     from repro.traffic.engine import EngineResult
 
-    state = _FleetState(engine.devices)
     keep = engine.keep_samples
     telemetry = engine.telemetry
     probe = engine.probe
     trace = engine.trace
     collect = keep or telemetry is not None or probe is not None or trace is not None
-    labels = [d.label for d in engine.devices]
     kept: list[tuple] = []
     served_count = 0
     cursor = 0
@@ -395,7 +330,7 @@ def _run_immediate_core(
             continue
         times = block.arrival_s
         previous_end = _check_chunk_order(times, previous_end)
-        assign = _assignments(engine, count, cursor, rng)
+        assign = _assignments(engine.policy_name, len(state), count, cursor, rng)
         cursor += count
         outputs = _advance_chunk(state, assign, times, block.sustained_time_s, collect)
         served_count += count
@@ -428,6 +363,7 @@ def _run_immediate_core(
                 last_completion_s=float(completed.max()),
             )
         if trace is not None:
+            labels = state.labels
             t_l = times.tolist()
             c_l = completed.tolist()
             lat_l = latency.tolist()
@@ -452,7 +388,6 @@ def _run_immediate_core(
                     label=labels[pos],
                 )
 
-    state.sync_back()
     served = ServedColumns.empty()
     if kept:
         blocks, assigns, *columns = zip(*kept)
@@ -480,6 +415,7 @@ def _run_immediate_core(
 
 def _run_event_core(
     engine: "ServingEngine",
+    state: FleetState,
     stream: Iterable[RequestBlock],
     rng: np.random.Generator,
 ) -> "EngineResult":
@@ -511,11 +447,10 @@ def _run_event_core(
     """
     from repro.traffic.engine import EngineResult
 
-    devices = engine.devices
-    n = len(devices)
-    state = _FleetState(devices)
-    # Plain-float mirrors of the columnar state: attribute lookups and
-    # numpy scalar boxing are what the exact loop spends its time on.
+    n = len(state)
+    # Plain-float mirrors of the columnar state, written back at the end:
+    # attribute lookups and numpy scalar boxing are what the exact loop
+    # spends its time on.
     clock = state.clock.tolist()
     stored = state.stored.tolist()
     drain_w = state.drain_w.tolist()
@@ -527,24 +462,22 @@ def _run_event_core(
     dev_allow = state.allow.tolist()
     refuse = state.refuse.tolist()
     device_ids = state.device_ids.tolist()
-    labels = [d.label for d in devices]
-    # Lifetime served counts (serving history included), as the exact
-    # loop's tie-breaks read ``requests_served``; only this run's share
-    # is synced back.
-    served_n = [d.requests_served for d in devices]
-    served_before = np.asarray(served_n, dtype=np.int64)
-    sprints_n = [0] * n
-    busy_sec = [0.0] * n
-    full_tot = [0.0] * n
-    dep_tot = [0.0] * n
-    drn_tot = [0.0] * n
-    peak_st = [-np.inf] * n
-    last_arr = [-np.inf] * n
+    # Lifetime counts, serving history included: the exact loop's
+    # tie-breaks read ``requests_served``.
+    served_n = state.served.tolist()
+    sprints_n = state.sprints.tolist()
+    busy_sec = state.busy_seconds.tolist()
+    full_tot = state.fullness_total.tolist()
+    dep_tot = state.deposited.tolist()
+    drn_tot = state.drained.tolist()
+    peak_st = state.peak_stored.tolist()
+    last_arr = state.last_arrival.tolist()
 
     keep = engine.keep_samples
     telemetry = engine.telemetry
     probe = engine.probe
     trace = engine.trace
+    labels = state.labels if trace is not None else None
     need_temperature = keep or probe is not None or telemetry is not None
     need_deadlines = engine.mode == "central_queue" or telemetry is not None
 
@@ -558,7 +491,7 @@ def _run_event_core(
     if not central and policy == "least_loaded":
         from repro.traffic.engine import LeastLoadedIndex
 
-        index = LeastLoadedIndex(devices, clock.__getitem__, served_n.__getitem__)
+        index = LeastLoadedIndex(range(n), clock.__getitem__, served_n.__getitem__)
     queue_bound = engine.queue_bound
     inf = float("inf")
 
@@ -607,8 +540,7 @@ def _run_event_core(
     # is all the tie-break ever uses.
     events: list[tuple[float, int, int, object]] = []
     if central:
-        for pos, device in enumerate(devices):
-            events.append((device.busy_until_s, 2, next(ctr), pos))
+        events.extend((busy_until, 2, next(ctr), pos) for pos, busy_until in enumerate(clock))
         heapq.heapify(events)
     fifo: deque[int] = deque()
     # token -> (arrival, demand, deadline_at, row, index, request-or-None)
@@ -1130,17 +1062,16 @@ def _run_event_core(
         governor._penalty_until = g_penalty_until
         governor._cap_since = g_cap_since
         governor._time_at_cap = g_time_at_cap
-    state.clock = np.asarray(clock)
-    state.stored = np.asarray(stored)
-    state.served = np.asarray(served_n, dtype=np.int64) - served_before
-    state.sprints = np.asarray(sprints_n, dtype=np.int64)
-    state.busy_seconds = np.asarray(busy_sec)
-    state.fullness_total = np.asarray(full_tot)
-    state.deposited = np.asarray(dep_tot)
-    state.drained = np.asarray(drn_tot)
-    state.peak_stored = np.asarray(peak_st)
-    state.last_arrival = np.asarray(last_arr)
-    state.sync_back()
+    state.clock[:] = clock
+    state.stored[:] = stored
+    state.served[:] = served_n
+    state.sprints[:] = sprints_n
+    state.busy_seconds[:] = busy_sec
+    state.fullness_total[:] = full_tot
+    state.deposited[:] = dep_tot
+    state.drained[:] = drn_tot
+    state.peak_stored[:] = peak_st
+    state.last_arrival[:] = last_arr
     columns = {}
     if keep:
         requests = RequestBlock.concat(blocks)
@@ -1190,14 +1121,25 @@ def run_batched(
     ``ServingEngine.run`` sorts — which is asserted cheaply per block.
     Ungoverned immediate ``round_robin``/``random`` runs on fleets of at
     least :data:`LOCKSTEP_MIN_DEVICES` devices take the lockstep vector
-    core; every other run takes the batch-replay event core.
+    core; every other run takes the batch-replay event core.  Both run on
+    the engine's :class:`~repro.traffic.device.FleetState`; an engine
+    handed device objects has them gathered first and written back after.
     """
+    state = engine.state
+    if state is None:
+        state = FleetState.from_devices(engine.devices)
     governor = engine.governor
-    if (
+    lockstep = (
         engine.mode == "immediate"
         and (governor is None or governor.is_unlimited)
         and engine.policy_name in LOCKSTEP_POLICIES
-        and len(engine.devices) >= LOCKSTEP_MIN_DEVICES
-    ):
-        return _run_immediate_core(engine, stream, rng)
-    return _run_event_core(engine, stream, rng)
+        and len(state) >= LOCKSTEP_MIN_DEVICES
+    )
+    try:
+        core = _run_immediate_core if lockstep else _run_event_core
+        result = core(engine, state, stream, rng)
+    finally:
+        state.changed()
+    if engine.state is None:
+        state.sync_devices()
+    return result

@@ -1,9 +1,13 @@
 """Fleet simulator: N sprint-capable devices serving a request stream.
 
 :class:`FleetSimulator` is a thin configuration shell around the
-discrete-event core in :mod:`repro.traffic.engine`: it builds the devices,
+discrete-event core in :mod:`repro.traffic.engine`: it builds the fleet,
 resolves the dispatch policy, runs the engine, and packages the outcome as
-a :class:`FleetResult` with per-device accounting.
+a :class:`FleetResult` with per-device accounting.  A linear-backend fleet
+is a :class:`~repro.traffic.device.FleetState`, one array per device
+quantity, built in a few numpy calls whatever its width; device objects
+are built only for the exact loop or a caller that reads
+:attr:`FleetSimulator.devices`.
 
 Two dispatch modes are available.  *Immediate* mode binds every request to
 a device at its arrival instant via a dispatch policy (``round_robin``,
@@ -60,9 +64,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import SystemConfig
+from repro.core.pacing import SprintPacer
 from repro.core.thermal_backend import ThermalSpec
 from repro.traffic.arrivals import DEFAULT_CHUNK, ArrivalProcess
-from repro.traffic.device import ServedColumns, SprintDevice
+from repro.traffic.device import (
+    DeviceStatColumns,
+    DeviceStats,
+    FleetState,
+    ServedColumns,
+    SprintDevice,
+)
 from repro.traffic.engine import (
     DISPATCH_MODES,
     DISPATCH_POLICIES,
@@ -73,7 +84,7 @@ from repro.traffic.engine import (
     ServingEngine,
 )
 from repro.traffic.governor import GovernorSpec, GovernorStats, SprintGovernor
-from repro.traffic.metrics import TrafficSummary, summarize
+from repro.traffic.metrics import TrafficSummary, summarize, validate_count
 from repro.traffic.request import (
     Request,
     RequestBlock,
@@ -119,6 +130,42 @@ def resolve_telemetry(
     )
 
 
+def new_fleet(
+    config: SystemConfig,
+    n_devices: int,
+    thermal: ThermalSpec,
+    *,
+    first_id: int = 0,
+    label_prefix: str = "",
+    **knobs,
+) -> FleetState | list[SprintDevice]:
+    """A fleet's devices: columns on the linear backend, objects on the others.
+
+    Device ``i`` has id ``first_id + i`` and label ``f"{label_prefix}dev{i}"``;
+    ``knobs`` are ``sprint_speedup``, ``sprint_enabled`` and
+    ``refuse_partial_sprints``, as :class:`SprintDevice` takes them.
+    """
+    if thermal.backend == "linear":
+        enabled = knobs.pop("sprint_enabled")
+        return FleetState(
+            SprintPacer(config, **knobs),
+            n_devices,
+            sprint_enabled=enabled,
+            first_id=first_id,
+            label_prefix=label_prefix,
+        )
+    return [
+        SprintDevice(
+            config,
+            device_id=first_id + i,
+            thermal=thermal,
+            label=f"{label_prefix}dev{i}",
+            **knobs,
+        )
+        for i in range(n_devices)
+    ]
+
+
 def run_horizon(final_s: float, served: ServedColumns, stream) -> float:
     """The later of a run's final event and its last served completion.
 
@@ -134,68 +181,19 @@ def run_horizon(final_s: float, served: ServedColumns, stream) -> float:
 
 
 @dataclass(frozen=True)
-class DeviceStats:
-    """Per-device accounting at the end of a run."""
-
-    device_id: int
-    requests_served: int
-    busy_seconds: float
-    stored_heat_j: float
-    #: Stable hierarchical identity — ``row0/rack2/dev5`` in a topology
-    #: fleet, ``dev{device_id}`` in a flat one ("" on results produced
-    #: before labels existed).  ``device_id`` stays the flat integer id.
-    device_label: str = ""
-    #: Requests that sprinted at all on this device (partial sprints included).
-    sprints_served: int = 0
-    #: Mean realised sprint fullness on this device — low values flag a
-    #: thermal hotspot that is nominally sprinting but mostly sustained.
-    sprint_fullness_mean: float = 0.0
-    #: Package temperature the device's thermal backend reported at the end
-    #: of the run.
-    package_temperature_c: float = 0.0
-    #: Liquid PCM fraction at the end of the run (0 unless the fleet paces
-    #: with the ``pcm`` backend).
-    melt_fraction: float = 0.0
-    #: Running peaks over the whole run (maintained in O(1) on the device,
-    #: so hotspot identification survives ``keep_samples=False`` runs).
-    peak_temperature_c: float = 0.0
-    peak_melt_fraction: float = 0.0
-    peak_stored_heat_j: float = 0.0
-
-
-def collect_device_stats(devices: Sequence[SprintDevice]) -> tuple[DeviceStats, ...]:
-    """Each device's accounting as it stands, in fleet order."""
-    return tuple(
-        DeviceStats(
-            device_id=d.device_id,
-            device_label=d.label,
-            requests_served=d.requests_served,
-            busy_seconds=d.busy_seconds,
-            stored_heat_j=d.pacer.stored_heat_j,
-            sprints_served=d.sprints_served,
-            sprint_fullness_mean=d.sprint_fullness_mean,
-            package_temperature_c=d.thermal_backend.temperature_c,
-            melt_fraction=d.thermal_backend.melt_fraction,
-            peak_temperature_c=d.peak_temperature_c,
-            peak_melt_fraction=d.peak_melt_fraction,
-            peak_stored_heat_j=d.peak_stored_heat_j,
-        )
-        for d in devices
-    )
-
-
-@dataclass(frozen=True)
 class FleetResult(ResultViews):
     """Everything a fleet run produced.
 
     Per-request fates are columns: ``served_columns`` in request-index
-    order, ``rejected_columns`` and ``abandoned_columns``.  ``served``,
-    ``rejected`` and ``abandoned`` read them as object tuples, built on
+    order, ``rejected_columns`` and ``abandoned_columns``; per-device
+    accounting is ``device_columns``.  ``served``, ``rejected``,
+    ``abandoned`` and ``device_stats`` read them as object tuples, built on
     first access and cached; summaries and latencies read the columns.
     """
 
-    device_stats: tuple[DeviceStats, ...]
     policy: str
+    #: Each device's accounting at the end of the run, in fleet order.
+    device_columns: DeviceStatColumns = field(default_factory=DeviceStatColumns.empty)
     served_columns: ServedColumns = field(default_factory=ServedColumns.empty)
     #: Arrivals bounced by a full bounded central queue (admission control).
     rejected_columns: RequestBlock = field(default_factory=RequestBlock.empty)
@@ -231,6 +229,11 @@ class FleetResult(ResultViews):
         default_factory=dict, init=False, repr=False, compare=False
     )
     _views: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def device_stats(self) -> tuple[DeviceStats, ...]:
+        """Each device's accounting as :class:`DeviceStats` objects, in fleet order."""
+        return self._view("device_stats", self.device_columns.to_objects)
 
     @property
     def latencies_s(self) -> np.ndarray:
@@ -292,6 +295,14 @@ class FleetResult(ResultViews):
 class FleetSimulator:
     """Discrete-event simulation of a fleet under a dispatch mode and policy.
 
+    A linear-backend fleet keeps its device state as a
+    :class:`~repro.traffic.device.FleetState`: construction is a few
+    ``np.full`` calls and a reset refills the arrays, whatever the width.
+    The batched cores run on it in place; the exact loop serves on
+    :class:`~repro.traffic.device.SprintDevice` objects built from it once
+    per fleet.  ``rc``/``pcm`` fleets are device objects throughout.
+    :attr:`devices` reads the fleet as objects either way.
+
     Parameters
     ----------
     config:
@@ -309,7 +320,8 @@ class FleetSimulator:
     discipline:
         Central-queue ordering, ``"fifo"`` or ``"edf"``.
     queue_bound:
-        Central-queue admission limit (``None`` = unbounded).
+        Central-queue admission limit: ``None`` (unbounded) or a
+        non-negative integer.
     governor:
         Fleet power-budget governance: a policy name (only ``"unlimited"``
         works bare — the other policies need knobs), a
@@ -325,7 +337,8 @@ class FleetSimulator:
         share thermal state.  The default ``"linear"`` backend is
         bit-identical to the pre-backend fleet (regression-locked).
     sprint_speedup, sprint_enabled, refuse_partial_sprints:
-        Forwarded to each :class:`~repro.traffic.device.SprintDevice`.
+        Every device's knobs, as :class:`~repro.traffic.device.SprintDevice`
+        takes them.
     keep_samples:
         When True (default) the run retains every served/rejected/
         abandoned request object, the exact legacy behaviour.  When False
@@ -360,7 +373,10 @@ class FleetSimulator:
         topology: TopologySpec | None = None,
         shard_workers: int = 1,
     ) -> None:
-        device_labels: list[str] | None = None
+        label_prefix = ""
+        validate_count(shard_workers, "shard worker count")
+        if queue_bound is not None:
+            validate_count(queue_bound, "queue bound", minimum=0)
         self.topology = topology
         self.shard_workers = shard_workers
         self._sharded = False
@@ -375,8 +391,6 @@ class FleetSimulator:
                     "a topology fleet takes its budgets from the topology "
                     "spec; leave governor at 'unlimited'"
                 )
-            if shard_workers < 1:
-                raise ValueError("shard worker count must be at least 1")
             n_devices = topology.validate_devices(n_devices)
             if topology.is_flat:
                 # The regression-locked flat path: one rack, ungoverned
@@ -392,7 +406,7 @@ class FleetSimulator:
                     sprint_speedup = rack.sprint_speedup
                 if rack.thermal is not None:
                     thermal = rack.thermal
-                device_labels = [f"{path}/dev{i}" for i in range(n_devices)]
+                label_prefix = f"{path}/"
             else:
                 if not isinstance(policy, str):
                     raise ValueError(
@@ -402,8 +416,7 @@ class FleetSimulator:
                 self._sharded = True
         elif n_devices is None:
             raise ValueError("a fleet needs n_devices or a topology")
-        if n_devices < 1:
-            raise ValueError("a fleet needs at least one device")
+        validate_count(n_devices, "fleet size")
         if mode not in DISPATCH_MODES:
             raise ValueError(
                 f"unknown fleet mode {mode!r}; available: {DISPATCH_MODES}"
@@ -461,34 +474,41 @@ class FleetSimulator:
         self.telemetry_spec = resolve_telemetry(telemetry, keep_samples)
         if self._sharded:
             # Devices live inside each rack's shard job; validate here the
-            # queue knobs the engine would have rejected at construction.
+            # queue knob the engine would have rejected at construction.
             if discipline not in QUEUE_DISCIPLINES:
                 raise ValueError(
                     f"unknown queue discipline {discipline!r}; "
                     f"available: {QUEUE_DISCIPLINES}"
                 )
-            if queue_bound is not None and queue_bound < 0:
-                raise ValueError("queue bound must be non-negative (or None)")
-            self.devices: list[SprintDevice] = []
+            self._fleet: FleetState | list[SprintDevice] = []
             return
-        self.devices = [
-            SprintDevice(
-                config,
-                device_id=i,
-                sprint_speedup=sprint_speedup,
-                sprint_enabled=sprint_enabled,
-                refuse_partial_sprints=refuse_partial_sprints,
-                thermal=thermal,
-                label=None if device_labels is None else device_labels[i],
-            )
-            for i in range(n_devices)
-        ]
+        self._fleet = new_fleet(
+            config,
+            n_devices,
+            thermal,
+            sprint_speedup=sprint_speedup,
+            sprint_enabled=sprint_enabled,
+            refuse_partial_sprints=refuse_partial_sprints,
+            label_prefix=label_prefix,
+        )
         # Validate mode/discipline/bound eagerly (fail at construction, not run).
         self._make_engine()
 
+    @property
+    def devices(self) -> list[SprintDevice]:
+        """The fleet as :class:`~repro.traffic.device.SprintDevice` objects.
+
+        The same list on every read.  A linear fleet builds it on first
+        read (:meth:`FleetState.sync_devices`), and after a batched run it
+        carries that run's final state.  Empty on a sharded fleet, whose
+        devices live in the rack jobs.
+        """
+        fleet = self._fleet
+        return fleet.sync_devices() if isinstance(fleet, FleetState) else fleet
+
     def _make_engine(self, stream=None, probe=None, trace=None) -> ServingEngine:
         return ServingEngine(
-            self.devices,
+            self._fleet,
             dispatch=self._dispatch,
             policy_name=self.policy_name,
             mode=self.mode,
@@ -543,9 +563,7 @@ class FleetSimulator:
 
             block = RequestBlock.from_requests(requests)
             return run_sharded(self, block, seed, self.shard_workers)
-        for device in self.devices:
-            device.reset()
-        self.governor.reset()
+        self._reset()
         rng = np.random.default_rng(seed)
         stream, probe, trace = self._prepare_observers()
         engine = self._make_engine(stream=stream, probe=probe, trace=trace)
@@ -590,9 +608,7 @@ class FleetSimulator:
             )
             requests = RequestBlock.concat(list(blocks))
             return run_sharded(self, requests, run_seed, self.shard_workers)
-        for device in self.devices:
-            device.reset()
-        self.governor.reset()
+        self._reset()
         rng = np.random.default_rng(run_seed)
         stream, probe, trace = self._prepare_observers()
         engine = self._make_engine(stream=stream, probe=probe, trace=trace)
@@ -607,6 +623,15 @@ class FleetSimulator:
         outcome = engine.run_blocks(blocks, rng)
         return self._package(outcome, stream, probe, trace, engine)
 
+    def _reset(self) -> None:
+        """Cool every device and rearm the governor before a run."""
+        if isinstance(self._fleet, FleetState):
+            self._fleet.reset()
+        else:
+            for device in self._fleet:
+                device.reset()
+        self.governor.reset()
+
     def _package(
         self, outcome, stream, probe, trace, engine: ServingEngine
     ) -> FleetResult:
@@ -620,7 +645,7 @@ class FleetSimulator:
                 trace=trace,
             )
         return FleetResult(
-            device_stats=collect_device_stats(self.devices),
+            device_columns=DeviceStatColumns.of(self._fleet),
             policy=self.policy_name,
             served_columns=served,
             rejected_columns=outcome.rejected_columns,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -148,9 +149,19 @@ def validate_latencies(
 
 
 def validate_slo(slo_s: float | None) -> None:
-    """Reject a non-positive SLO (``None`` means no SLO and is fine)."""
-    if slo_s is not None and slo_s <= 0:
+    """Reject a non-positive or NaN SLO (``None`` means no SLO and is fine)."""
+    if slo_s is not None and not slo_s > 0:
         raise ValueError("SLO must be positive")
+
+
+def validate_count(value: int, what: str, minimum: int = 1) -> None:
+    """Reject anything but an integer of at least ``minimum``.
+
+    NaN, infinities and fractions are not counts: ``2.5`` queue slots or
+    ``nan`` workers would otherwise run as some other number.
+    """
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{what} must be an integer of at least {minimum}, not {value!r}")
 
 
 def latency_percentiles(

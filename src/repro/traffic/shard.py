@@ -56,9 +56,9 @@ import numpy as np
 from repro.core.config import SystemConfig
 from repro.core.thermal_backend import ThermalSpec
 from repro.traffic.arrivals import seed_stream
-from repro.traffic.device import ServedColumns, SprintDevice
+from repro.traffic.device import DeviceStatColumns, ServedColumns
 from repro.traffic.engine import DISPATCH_POLICIES, ServingEngine
-from repro.traffic.fleet import DeviceStats, FleetResult, collect_device_stats, run_horizon
+from repro.traffic.fleet import FleetResult, new_fleet, run_horizon
 from repro.traffic.governor import GovernorSpec, GovernorStats, SprintGovernor
 from repro.traffic.request import RequestBlock
 from repro.traffic.telemetry import EventTrace, RunTelemetry, TelemetrySpec
@@ -207,7 +207,7 @@ class _RackOutcome:
     rejected_count: int
     abandoned_count: int
     final_time_s: float
-    device_stats: tuple[DeviceStats, ...]
+    device_columns: DeviceStatColumns
     overall: GovernorStats | None
     level_stats: dict[str, GovernorStats]
     telemetry: RunTelemetry | None
@@ -218,18 +218,16 @@ class _RackOutcome:
 
 def _run_rack_job(job: _RackJob) -> _RackOutcome:
     """Simulate one rack to completion (module-level: worker-pool picklable)."""
-    devices = [
-        SprintDevice(
-            job.config,
-            device_id=job.first_device_id + i,
-            sprint_speedup=job.sprint_speedup,
-            sprint_enabled=job.sprint_enabled,
-            refuse_partial_sprints=job.refuse_partial_sprints,
-            thermal=job.thermal,
-            label=f"{job.path}/dev{i}",
-        )
-        for i in range(job.n_devices)
-    ]
+    fleet = new_fleet(
+        job.config,
+        job.n_devices,
+        job.thermal,
+        sprint_speedup=job.sprint_speedup,
+        sprint_enabled=job.sprint_enabled,
+        refuse_partial_sprints=job.refuse_partial_sprints,
+        first_id=job.first_device_id,
+        label_prefix=f"{job.path}/",
+    )
     levels: list[tuple[str, SprintGovernor]] = [
         ("rack", job.rack_governor.build(job.config))
     ]
@@ -245,7 +243,7 @@ def _run_rack_job(job: _RackJob) -> _RackOutcome:
         probe = spec.build_probe(excess_power_w=cascade.excess_power_w)
         trace = spec.build_trace()
     engine = ServingEngine(
-        devices,
+        fleet,
         dispatch=DISPATCH_POLICIES[job.policy],
         policy_name=job.policy,
         mode=job.mode,
@@ -281,7 +279,7 @@ def _run_rack_job(job: _RackJob) -> _RackOutcome:
         rejected_count=outcome.rejected_count,
         abandoned_count=outcome.abandoned_count,
         final_time_s=outcome.final_time_s,
-        device_stats=collect_device_stats(devices),
+        device_columns=DeviceStatColumns.of(fleet),
         overall=outcome.governor_stats,
         level_stats=level_stats,
         telemetry=telemetry,
@@ -387,11 +385,11 @@ def run_sharded(
     served = ServedColumns.concat([o.served for o in outcomes]).in_index_order()
     rejected = RequestBlock.concat([o.rejected for o in outcomes]).in_index_order()
     abandoned = RequestBlock.concat([o.abandoned for o in outcomes]).in_index_order()
-    device_stats = tuple(s for o in outcomes for s in o.device_stats)
+    device_columns = DeviceStatColumns.concat([o.device_columns for o in outcomes])
     topology_stats = _merge_topology_stats(topology, outcomes)
     telemetry = _merge_telemetry(sim.telemetry_spec, outcomes)
     return FleetResult(
-        device_stats=device_stats,
+        device_columns=device_columns,
         policy=f"{topology.dispatch}+{sim.policy_name}",
         served_columns=served,
         rejected_columns=rejected,

@@ -75,7 +75,7 @@ from repro.traffic.arrivals import seed_stream
 from repro.traffic.engine import EXECUTION_MODES, QUEUE_DISCIPLINES
 from repro.traffic.fleet import DISPATCH_POLICIES, FleetSimulator, resolve_telemetry
 from repro.traffic.governor import GovernorSpec
-from repro.traffic.metrics import MetricEstimate, TrafficSummary, mean_ci
+from repro.traffic.metrics import MetricEstimate, TrafficSummary, mean_ci, validate_count
 from repro.traffic.request import FixedService, GammaService, generate_requests
 from repro.traffic.telemetry import RunTelemetry, TelemetrySpec, TrafficTelemetry
 from repro.traffic.topology import TopologySpec
@@ -105,8 +105,7 @@ def pool_map(fn, jobs, workers: int) -> list:
     results always come back in job order, so callers are bit-identical
     for any worker count provided ``fn`` is deterministic per job.
     """
-    if workers < 1:
-        raise ValueError("worker count must be at least 1")
+    validate_count(workers, "worker count")
     jobs = list(jobs)
     if workers == 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
@@ -228,8 +227,9 @@ class SweepSpec:
             raise ValueError(
                 f"unknown disciplines: {bad}; available: {SWEEP_DISCIPLINES}"
             )
-        if any(b is not None and not b >= 0 for b in self.queue_bounds):
-            raise ValueError("queue bounds must be non-negative (or None)")
+        for bound in self.queue_bounds:
+            if bound is not None:
+                validate_count(bound, "queue bound", minimum=0)
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError("deadline must be positive (or None)")
         if self.arrival_kind not in ARRIVAL_KINDS:
@@ -239,8 +239,8 @@ class SweepSpec:
             )
         if not all(0 < rate < math.inf for rate in self.arrival_rates_hz):
             raise ValueError("arrival rates must be positive and finite")
-        if not all(size >= 1 for size in self.fleet_sizes):
-            raise ValueError("fleet sizes must be at least 1")
+        for size in self.fleet_sizes:
+            validate_count(size, "fleet size")
         if not self.n_requests >= 1:
             raise ValueError("at least one request per cell is required")
         if not 0 < self.service_mean_s < math.inf:

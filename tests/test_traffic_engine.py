@@ -8,6 +8,8 @@ lifecycle (shared FIFO/EDF queue, bounded admission, deadline
 abandonment) with sane queueing semantics.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,10 @@ class TestEngineValidation:
             ServingEngine(devices, discipline="nope")
         with pytest.raises(ValueError):
             ServingEngine(devices, queue_bound=-1)
+        # NaN used to run as an unbounded queue, and 2.5 as a bound of 3.
+        for bound in (math.nan, math.inf, 2.5):
+            with pytest.raises(ValueError, match="queue bound"):
+                ServingEngine(devices, mode="central_queue", queue_bound=bound)
 
     def test_empty_stream_runs_empty(self, config):
         engine = ServingEngine([SprintDevice(config)], mode="central_queue")

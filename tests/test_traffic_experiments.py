@@ -435,6 +435,10 @@ class TestValidation:
             dict(slo_s=-1.0),
             dict(deadline_s=math.nan),
             dict(deadline_s=-1.0),
+            dict(queue_bound=math.nan),
+            dict(queue_bound=2.5),
+            dict(shard_workers=math.nan),
+            dict(shard_workers=1.5),
         ],
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()),
     )

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.pacing import SprintPacer
 from repro.traffic import fastpath
 from repro.traffic.arrivals import PoissonArrivals
-from repro.traffic.device import SprintDevice
+from repro.traffic.device import FleetState, SprintDevice
 from repro.traffic.engine import DISPATCH_POLICIES, ServingEngine
 from repro.traffic.fleet import FleetSimulator
 from repro.traffic.governor import GovernorSpec
@@ -507,3 +508,119 @@ class TestServingHistory:
         assert exact[2] == fast[2]
         # The least-served device wins the tie at t=20, history included.
         assert [s.device_id for s in fast[0].served] == [2, 1]
+
+
+def device_state(devices):
+    """Everything a device carries from one request to the next, per device."""
+    return [
+        (
+            d.device_id,
+            d.label,
+            d.requests_served,
+            d.busy_until_s,
+            d.sprints_served,
+            d.busy_seconds,
+            d.sprint_fullness_mean,
+            d.thermal_backend.stored_heat_j,
+            d.thermal_backend.total_deposited_j,
+            d.thermal_backend.total_drained_j,
+            d.peak_stored_heat_j,
+            d.peak_temperature_c,
+            d.pacer.last_arrival_s,
+        )
+        for d in devices
+    ]
+
+
+class TestColumnarDeviceState:
+    """A linear fleet keeps its devices as a ``FleetState``: a batched run
+    builds no ``SprintDevice``, and the objects a caller asks for carry the
+    run exactly as the exact loop leaves its own."""
+
+    def test_batched_wide_fleet_builds_no_device_objects(self, config, monkeypatch):
+        built = []
+        init = SprintDevice.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SprintDevice, "__init__", counting_init)
+        fleet = FleetSimulator(
+            config, 10_000, policy="round_robin", keep_samples=False, engine="batched"
+        )
+        result = fleet.run_stream(
+            PoissonArrivals(100.0), GammaService(2.0, cv=1.0), 10_000, request_seed=3
+        )
+        assert result.summary().request_count == 10_000
+        assert result.fast_path
+        assert len(built) <= 1
+
+    @pytest.mark.parametrize("keep_samples", (True, False), ids=("kept", "flat"))
+    @pytest.mark.parametrize("n_devices", FLEET_SIZES)
+    def test_devices_after_batched_run_match_exact(
+        self, config, requests, n_devices, keep_samples
+    ):
+        """4 devices take the event core, 64 the lockstep core."""
+        states = {}
+        for engine in ("exact", "batched"):
+            fleet = build_fleet(
+                config, engine, n_devices=n_devices, keep_samples=keep_samples
+            )
+            result = fleet.run(requests, seed=7)
+            states[engine] = device_state(fleet.devices)
+        assert result.fast_path
+        assert states["exact"] == states["batched"]
+
+    def test_devices_are_one_list_across_reads(self, config, requests):
+        fleet = build_fleet(config, "batched")
+        devices = fleet.devices
+        assert fleet.devices is devices
+        result = fleet.run(requests, seed=7)
+        assert fleet.devices is devices
+        assert all(a is b for a, b in zip(fleet.devices, devices))
+        assert [d.requests_served for d in devices] == [
+            s.requests_served for s in result.device_stats
+        ]
+        # Serving on the objects sticks across reads until the next run.
+        late = Request(10_000, devices[0].busy_until_s + 1.0, 1.0)
+        devices[0].serve(late)
+        assert fleet.devices[0].requests_served == result.device_stats[0].requests_served + 1
+        fleet.run(requests, seed=7)
+        assert device_state(fleet.devices) == device_state(devices)
+        assert fleet.devices[0].requests_served == result.device_stats[0].requests_served
+
+    @pytest.mark.parametrize("policy", ("least_loaded", "round_robin"))
+    def test_exact_engine_serves_a_state_through_its_devices(
+        self, config, requests, policy
+    ):
+        """Handed a FleetState, the exact loop serves on the state's devices
+        and gathers them back: state, stats and results equal batched."""
+        runs = {}
+        for execution in ("exact", "batched"):
+            state = FleetState(SprintPacer(config), 4, label_prefix="rack0/")
+            engine = ServingEngine(
+                state, DISPATCH_POLICIES[policy], policy, execution=execution
+            )
+            outcome = engine.run(requests, np.random.default_rng(0))
+            runs[execution] = (outcome, state.stat_columns(), device_state(state.sync_devices()))
+        assert runs["exact"][0] == runs["batched"][0]
+        assert runs["exact"][1] == runs["batched"][1]
+        assert runs["exact"][2] == runs["batched"][2]
+        assert runs["batched"][1].labels()[3] == "rack0/dev3"
+
+    def test_batched_ledger_matches_exact_after_history(self, config, requests):
+        """Batched runs continue a device's lifetime sums in request order,
+        so a device with serving history ends bit-identical to exact, down
+        to the reservoir's drained-heat ledger."""
+        late = [Request(r.index, r.arrival_s + 20.0, r.sustained_time_s) for r in requests]
+        states = {}
+        for execution in ("exact", "batched"):
+            devices = TestServingHistory.seasoned_fleet(config)
+            engine = ServingEngine(
+                devices, DISPATCH_POLICIES["least_loaded"], "least_loaded",
+                execution=execution,
+            )
+            engine.run(late, np.random.default_rng(0))
+            states[execution] = device_state(devices)
+        assert states["exact"] == states["batched"]

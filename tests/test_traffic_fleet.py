@@ -1,7 +1,11 @@
 """Tests for the sprint device, fleet simulator, and serving metrics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.core.pacing import SprintPacer
@@ -242,6 +246,16 @@ class TestFleetSimulator:
             FleetSimulator(config, 1, discipline="nope")
         with pytest.raises(ValueError):
             FleetSimulator(config, 1, queue_bound=-1)
+        for bound in (math.nan, 2.5):
+            with pytest.raises(ValueError, match="queue bound"):
+                FleetSimulator(config, 2, mode="central_queue", queue_bound=bound)
+        # Worker counts are checked on flat fleets too, where they go unused.
+        for workers in (0, math.nan, 1.5):
+            with pytest.raises(ValueError, match="shard worker"):
+                FleetSimulator(config, 2, shard_workers=workers)
+        for n_devices in (math.nan, 2.5):
+            with pytest.raises(ValueError, match="fleet size"):
+                FleetSimulator(config, n_devices)
         request = Request(index=0, arrival_s=0.0, sustained_time_s=1.0)
         with pytest.raises(ValueError, match="unique"):
             FleetSimulator(config, 2).run([request, request])
@@ -322,3 +336,60 @@ class TestMetrics:
         (stats,) = hot.device_stats
         assert 0 < stats.sprints_served <= stats.requests_served
         assert 0.0 < stats.sprint_fullness_mean < 1.0
+
+
+#: Knob values for the hostile-input fuzz: accepted ones, and ones the
+#: boundary must refuse (NaN, infinities, negatives, fractional counts).
+FUZZ_KNOBS = {
+    "n_devices": ((1, 2, 3), (math.nan, math.inf, -math.inf, -1, 0, 2.5)),
+    "queue_bound": ((None, 0, 2), (math.nan, math.inf, -math.inf, -1, 2.5)),
+    "shard_workers": ((1, 2), (math.nan, math.inf, -math.inf, -1, 0, 1.5)),
+    "sprint_speedup": ((1.0, 4.5, 10.0), (math.nan, math.inf, -math.inf, -1.0, 0.5)),
+    "engine": (("exact", "batched"), ("nope", math.nan)),
+}
+FUZZ_SLOS = ((None, 0.5, 2.0, math.inf), (math.nan, -math.inf, -1.0, 0.0))
+FUZZ_REQUESTS = generate_requests(PoissonArrivals(1.5), FixedService(2.0), 20, seed=4)
+
+
+def _draw_knob(data, values):
+    """A hostile value about one draw in six, else an accepted one."""
+    valid, hostile = values
+    bad = data.draw(st.integers(0, 5)) == 0
+    return bad, data.draw(st.sampled_from(hostile if bad else valid))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    mode=st.sampled_from(("immediate", "central_queue")),
+    keep_samples=st.booleans(),
+)
+def test_hostile_knobs_fail_at_the_boundary(data, mode, keep_samples):
+    """A hostile knob raises at construction (or at ``summary`` for the SLO);
+    every accepted combination runs to a summary whose statistics are all
+    finite."""
+    config = SystemConfig.paper_default()
+    knobs, hostile = {}, False
+    for name, values in FUZZ_KNOBS.items():
+        bad, knobs[name] = _draw_knob(data, values)
+        hostile |= bad
+    slo_bad, slo_s = _draw_knob(data, FUZZ_SLOS)
+
+    def build():
+        return FleetSimulator(config, mode=mode, keep_samples=keep_samples, **knobs)
+
+    if hostile:
+        with pytest.raises((ValueError, TypeError)):
+            build()
+        return
+    result = build().run(FUZZ_REQUESTS, seed=1)
+    if slo_bad:
+        with pytest.raises(ValueError):
+            result.summary(slo_s=slo_s)
+        return
+    stats = {
+        name: value
+        for name, value in result.summary(slo_s=slo_s).to_dict().items()
+        if isinstance(value, (int, float)) and name != "slo_s"
+    }
+    assert all(math.isfinite(v) for v in stats.values()), stats

@@ -247,6 +247,9 @@ class TestValidation:
                 SweepSpec(disciplines=(discipline,))
         with pytest.raises(ValueError):
             SweepSpec(queue_bounds=(-1,))
+        for bound in (NAN, 2.5):
+            with pytest.raises(ValueError, match="queue bound"):
+                SweepSpec(queue_bounds=(None, bound))
         with pytest.raises(ValueError):
             SweepSpec(deadline_s=0.0)
         with pytest.raises(ValueError):
@@ -282,8 +285,9 @@ class TestValidation:
             SweepSpec(**kwargs)
 
     def test_worker_validation(self, small_spec):
-        with pytest.raises(ValueError):
-            run_sweep(small_spec, workers=0)
+        for workers in (0, NAN, 1.5):
+            with pytest.raises(ValueError, match="worker count"):
+                run_sweep(small_spec, workers=workers)
 
     def test_replication_validation(self):
         with pytest.raises(ValueError):

@@ -300,7 +300,7 @@ class TestSketchSummary:
     def test_summary_without_stream_raises(self):
         from repro.traffic.fleet import FleetResult
 
-        orphan = FleetResult(device_stats=(), policy="least_loaded", served_count=5)
+        orphan = FleetResult(policy="least_loaded", served_count=5)
         with pytest.raises(ValueError, match="keep_samples"):
             orphan.summary()
 
@@ -410,6 +410,10 @@ class TestMetricsPlumbing:
         validate_slo(1.0)
         with pytest.raises(ValueError, match="positive"):
             validate_slo(0.0)
+        # NaN used to pass, and FleetResult.summary(slo_s=nan) reported
+        # slo_attainment=0.0.
+        with pytest.raises(ValueError, match="positive"):
+            validate_slo(float("nan"))
 
     def test_summary_round_trip_includes_telemetry_fields(self):
         _, flat = paired_runs(n=60)
